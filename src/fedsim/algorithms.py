@@ -93,14 +93,10 @@ class PrototypeSet:
 def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> PrototypeSet:
     """Class-c prototype = mean extractor embedding over surrogate class c."""
     trace = forward(model, surrogate.features)
-    means = np.zeros((surrogate.num_classes, model.embed_dim))
-    counts = np.zeros(surrogate.num_classes, dtype=np.int64)
-    for c in range(surrogate.num_classes):
-        mask = surrogate.labels == c
-        counts[c] = mask.sum()
-        if counts[c] == 0:
-            raise ValueError(f"surrogate set is missing class {c}")
-        means[c] = trace.embeddings[mask].mean(axis=0)
+    means, counts = _class_means(trace.embeddings, surrogate.labels, surrogate.num_classes)
+    missing = np.flatnonzero(counts == 0)
+    if len(missing) > 0:
+        raise ValueError(f"surrogate set is missing class {missing[0]}")
     return PrototypeSet(means, counts)
 
 
@@ -132,13 +128,11 @@ def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
 
 
 def _class_means(embeddings: np.ndarray, labels: np.ndarray, num_classes: int):
-    """Per-class mean embeddings plus counts for one batch."""
-    means = np.zeros((num_classes, embeddings.shape[1]))
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for c in np.unique(labels):
-        mask = labels == c
-        counts[c] = mask.sum()
-        means[c] = embeddings[mask].mean(axis=0)
+    """Per-class mean embeddings plus counts for one batch; an absent
+    class gets a zero mean and a zero count."""
+    counts = np.bincount(labels, minlength=num_classes)
+    onehot = np.equal.outer(np.arange(num_classes), labels).astype(np.float64)
+    means = (onehot @ embeddings) / np.maximum(counts, 1)[:, None]
     return means, counts
 
 
@@ -167,42 +161,42 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
         return ce_loss_and_grad(model, x_local, y_local, hyper.lambda3)
 
     x_surr, y_surr = surrogate_batch
-    num_classes = model.num_classes
-    trace_l = forward(model, x_local)
-    trace_s = forward(model, x_surr)
-    ce_l, dlogits_l = _ce_from_logits(trace_l.logits, y_local)
-    ce_s, dlogits_s = _ce_from_logits(trace_s.logits, y_surr)
-
+    n_local = len(y_local)
+    trace = forward(model, np.concatenate([x_local, x_surr]))
+    ce_l, dlogits_l = _ce_from_logits(trace.logits[:n_local], y_local)
+    ce_s, dlogits_s = _ce_from_logits(trace.logits[n_local:], y_surr)
     loss = ce_l + hyper.surrogate_ce * ce_s
-    demb_l = None
-    demb_s = None
+    dembed = None
 
     if hyper.lambda1 > 0 or hyper.lambda2 > 0:
-        mu, n_l = _class_means(trace_l.embeddings, y_local, num_classes)
-        nu, n_s = _class_means(trace_s.embeddings, y_surr, num_classes)
-        demb_l = np.zeros_like(trace_l.embeddings)
-        demb_s = np.zeros_like(trace_s.embeddings)
+        # Each alignment term is a function of the class means, so its
+        # embedding gradient is a per-class row divided by the class count
+        # and handed to every sample of that class.
+        num_classes = model.num_classes
+        mu, n_l = _class_means(trace.embeddings[:n_local], y_local, num_classes)
+        nu, n_s = _class_means(trace.embeddings[n_local:], y_surr, num_classes)
+        g_mu = np.zeros_like(mu)
+        g_nu = np.zeros_like(nu)
 
         if hyper.lambda1 > 0:
             shared = np.flatnonzero((n_l > 0) & (n_s > 0))
             if len(shared) > 0:
                 diff = mu[shared] - nu[shared]
                 loss += hyper.lambda1 * float(np.mean((diff ** 2).sum(axis=1)))
-                coef = 2.0 * hyper.lambda1 / len(shared)
-                for i, c in enumerate(shared):
-                    demb_l[y_local == c] += coef * diff[i] / n_l[c]
-                    demb_s[y_surr == c] -= coef * diff[i] / n_s[c]
+                g_mu[shared] = (2.0 * hyper.lambda1 / len(shared)) * diff
+                g_nu[shared] = -g_mu[shared]
 
         if hyper.lambda2 > 0 and global_prototypes is not None:
             present = np.flatnonzero(n_s > 0)
             diff = nu[present] - global_prototypes[present]
             loss += hyper.lambda2 * float(np.mean((diff ** 2).sum(axis=1)))
-            coef = 2.0 * hyper.lambda2 / len(present)
-            for i, c in enumerate(present):
-                demb_s[y_surr == c] += coef * diff[i] / n_s[c]
+            g_nu[present] += (2.0 * hyper.lambda2 / len(present)) * diff
 
-    grad = backward(model, trace_l, dlogits_l, demb_l)
-    grad += backward(model, trace_s, hyper.surrogate_ce * dlogits_s, demb_s)
+        dembed = np.concatenate([(g_mu / np.maximum(n_l, 1)[:, None])[y_local],
+                                 (g_nu / np.maximum(n_s, 1)[:, None])[y_surr]])
+
+    dlogits = np.concatenate([dlogits_l, hyper.surrogate_ce * dlogits_s])
+    grad = backward(model, trace, dlogits, dembed)
     if hyper.lambda3 != 0.0:
         theta = flatten(model)
         loss += hyper.lambda3 * float(theta @ theta)
@@ -264,32 +258,34 @@ class _BatchCycler:
 def _local_sgd(template: MlpModel, theta_start: np.ndarray, features: np.ndarray,
                labels: np.ndarray, hyper: FedGpsHyper, grad_fn,
                data_rng: np.random.Generator,
-               step_offset: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+               step_offset: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Momentum-SGD over shuffled minibatches for E local epochs.
 
     `grad_fn(model, xb, yb)` returns the flat gradient for one minibatch.
     `step_offset`, when given, is added to every step's displacement after
-    momentum smoothing (control-variate style). Returns (theta_end, final
-    velocity, number of steps taken).
+    momentum smoothing (control-variate style). Returns (theta_end, number
+    of steps taken). Overflow on the way to a non-finite loss is not
+    warned about: `DivergedError` reports it.
     """
     theta = theta_start.copy()
     velocity = np.zeros_like(theta)
     n = len(labels)
     bs = min(hyper.batch_size, n)
     steps = 0
-    for _ in range(hyper.local_epochs):
-        order = data_rng.permutation(n)
-        for start in range(0, n, bs):
-            mb = order[start:start + bs]
-            model = unflatten_like(template, theta)
-            grad = grad_fn(model, features[mb], labels[mb])
-            velocity = hyper.momentum * velocity + grad
-            if step_offset is None:
-                theta = theta - hyper.eta_l * velocity
-            else:
-                theta = theta - hyper.eta_l * (velocity + step_offset)
-            steps += 1
-    return theta, velocity, steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(hyper.local_epochs):
+            order = data_rng.permutation(n)
+            for start in range(0, n, bs):
+                mb = order[start:start + bs]
+                model = unflatten_like(template, theta)
+                grad = grad_fn(model, features[mb], labels[mb])
+                velocity = hyper.momentum * velocity + grad
+                if step_offset is None:
+                    theta = theta - hyper.eta_l * velocity
+                else:
+                    theta = theta - hyper.eta_l * (velocity + step_offset)
+                steps += 1
+    return theta, steps
 
 
 def fedgps_local_train(client: ClientState, template: MlpModel,
@@ -331,10 +327,9 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
         except DivergedError as err:
             raise DivergedError(str(err), round_index, client.id) from None
 
-    theta_end, velocity, _ = _local_sgd(template, theta_global, x, y, hyper,
-                                        grad_fn, client.data_rng)
+    theta_end, _ = _local_sgd(template, theta_global, x, y, hyper,
+                              grad_fn, client.data_rng)
     delta = theta_end - theta_global
-    client.momentum_buffer = velocity
     client.record_participation(round_index, delta)
     prototypes = compute_local_prototypes(unflatten_like(template, theta_end), surrogate)
     return delta, prototypes
@@ -353,9 +348,8 @@ def fedavg_local_train(client: ClientState, template: MlpModel,
         except DivergedError as err:
             raise DivergedError(str(err), round_index, client.id) from None
 
-    theta_end, velocity, _ = _local_sgd(template, theta_global, x, y, hyper,
-                                        grad_fn, client.data_rng)
-    client.momentum_buffer = velocity
+    theta_end, _ = _local_sgd(template, theta_global, x, y, hyper,
+                              grad_fn, client.data_rng)
     delta = theta_end - theta_global
     client.record_participation(round_index, delta)
     return delta
@@ -378,9 +372,8 @@ def fedprox_local_train(client: ClientState, template: MlpModel,
             grad = grad + mu * (flatten(model) - theta_global)
         return grad
 
-    theta_end, velocity, _ = _local_sgd(template, theta_global, x, y, hyper,
-                                        grad_fn, client.data_rng)
-    client.momentum_buffer = velocity
+    theta_end, _ = _local_sgd(template, theta_global, x, y, hyper,
+                              grad_fn, client.data_rng)
     delta = theta_end - theta_global
     client.record_participation(round_index, delta)
     return delta
@@ -409,10 +402,9 @@ def scaffold_local_train(client: ClientState, template: MlpModel,
         except DivergedError as err:
             raise DivergedError(str(err), round_index, client.id) from None
 
-    theta_end, velocity, steps = _local_sgd(template, theta_global, x, y, hyper,
-                                            grad_fn, client.data_rng,
-                                            step_offset=correction)
-    client.momentum_buffer = velocity
+    theta_end, steps = _local_sgd(template, theta_global, x, y, hyper,
+                                  grad_fn, client.data_rng,
+                                  step_offset=correction)
     delta = theta_end - theta_global
     client.record_participation(round_index, delta)
     new_control = client_control - server_control + \

@@ -7,7 +7,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .algorithms import PrototypeSet
 
@@ -97,6 +96,7 @@ class RankMatrix:
     def ranks(self) -> np.ndarray:
         """Rank 1 = best accuracy per scenario; ties get averaged ranks,
         so every row sums to k(k+1)/2."""
+        from scipy import stats  # deferred: importing scipy costs about 1 s
         return stats.rankdata(-self.accuracies, method="average", axis=1)
 
     def average_ranks(self) -> np.ndarray:
@@ -111,6 +111,7 @@ def friedman_statistic(ranks: RankMatrix, alpha: float = 0.05) -> tuple[float, b
     compared against the chi-square critical value with k-1 degrees of
     freedom. An all-tied matrix gives (0.0, False).
     """
+    from scipy import stats  # deferred: importing scipy costs about 1 s
     n, k = ranks.num_scenarios, ranks.num_algorithms
     if n < 2 or k < 2:
         raise ValueError("need at least 2 scenarios and 2 algorithms")

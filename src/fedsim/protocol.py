@@ -59,7 +59,6 @@ class ClientState:
     surrogate_rng: np.random.Generator
     last_delta: np.ndarray | None = None
     last_participation_round: int | None = None
-    momentum_buffer: np.ndarray | None = None
 
     def __post_init__(self):
         self.shard = np.asarray(self.shard, dtype=np.int64)

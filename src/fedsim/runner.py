@@ -221,7 +221,8 @@ def build_partition(config: ExperimentConfig, labels, scenario_seed: int) -> dat
 
 def accuracy(template: nn.MlpModel, theta: np.ndarray, dataset: dat.LabeledDataset) -> float:
     model = nn.unflatten_like(template, theta)
-    trace = nn.forward(model, dataset.features)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is DivergedError's to report
+        trace = nn.forward(model, dataset.features)
     return float(np.mean(trace.logits.argmax(axis=1) == dataset.labels))
 
 

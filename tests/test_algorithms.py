@@ -61,7 +61,7 @@ class TestLocalPrototypes:
 
     def test_missing_class_rejected(self):
         ds = dat.LabeledDataset(np.zeros((3, 2)), np.array([0, 0, 2]), 3)
-        with pytest.raises(ValueError, match="missing class"):
+        with pytest.raises(ValueError, match="missing class 1"):
             alg.compute_local_prototypes(tiny_model(input_dim=2, classes=3), ds)
 
 
@@ -108,6 +108,112 @@ class TestCompositeObjective:
         loss, grad = alg.fedgps_loss_and_grad(model, local, surr,
                                               np.zeros((2, model.embed_dim)), hyper)
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
+
+
+def reference_class_means(embeddings, labels, num_classes):
+    """Loop form of `_class_means`: one mask and one mean per present class."""
+    means = np.zeros((num_classes, embeddings.shape[1]))
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for c in np.unique(labels):
+        mask = labels == c
+        counts[c] = mask.sum()
+        means[c] = embeddings[mask].mean(axis=0)
+    return means, counts
+
+
+def reference_composite(model, local_batch, surrogate_batch, global_prototypes, hyper):
+    """Loop form of the composite objective: a forward and a backward per
+    batch, and the alignment gradients scattered class by class."""
+    (x_local, y_local), (x_surr, y_surr) = local_batch, surrogate_batch
+    num_classes = model.num_classes
+    trace_l = nn.forward(model, x_local)
+    trace_s = nn.forward(model, x_surr)
+    ce_l, dlogits_l = alg._ce_from_logits(trace_l.logits, y_local)
+    ce_s, dlogits_s = alg._ce_from_logits(trace_s.logits, y_surr)
+    loss = ce_l + hyper.surrogate_ce * ce_s
+    demb_l = np.zeros_like(trace_l.embeddings)
+    demb_s = np.zeros_like(trace_s.embeddings)
+    mu, n_l = reference_class_means(trace_l.embeddings, y_local, num_classes)
+    nu, n_s = reference_class_means(trace_s.embeddings, y_surr, num_classes)
+    if hyper.lambda1 > 0:
+        shared = np.flatnonzero((n_l > 0) & (n_s > 0))
+        if len(shared) > 0:
+            diff = mu[shared] - nu[shared]
+            loss += hyper.lambda1 * float(np.mean((diff ** 2).sum(axis=1)))
+            coef = 2.0 * hyper.lambda1 / len(shared)
+            for i, c in enumerate(shared):
+                demb_l[y_local == c] += coef * diff[i] / n_l[c]
+                demb_s[y_surr == c] -= coef * diff[i] / n_s[c]
+    if hyper.lambda2 > 0 and global_prototypes is not None:
+        present = np.flatnonzero(n_s > 0)
+        diff = nu[present] - global_prototypes[present]
+        loss += hyper.lambda2 * float(np.mean((diff ** 2).sum(axis=1)))
+        coef = 2.0 * hyper.lambda2 / len(present)
+        for i, c in enumerate(present):
+            demb_s[y_surr == c] += coef * diff[i] / n_s[c]
+    grad = nn.backward(model, trace_l, dlogits_l, demb_l)
+    grad += nn.backward(model, trace_s, hyper.surrogate_ce * dlogits_s, demb_s)
+    theta = nn.flatten(model)
+    return loss + hyper.lambda3 * float(theta @ theta), grad + (2.0 * hyper.lambda3) * theta
+
+
+def assert_composite_matches_loop(seed, hyper, n_local=9, n_surr=11,
+                                  local_classes=(0, 1, 2, 3), surr_classes=(0, 1, 2, 3),
+                                  with_protos=True):
+    model = tiny_model(seed=seed, hidden=(6, 5), classes=4)
+    rng = np.random.default_rng(seed + 1)
+    local = (rng.standard_normal((n_local, 4)), rng.choice(local_classes, n_local))
+    surr = (rng.standard_normal((n_surr, 4)), rng.choice(surr_classes, n_surr))
+    protos = rng.standard_normal((4, model.embed_dim)) if with_protos else None
+    loss, grad = alg.fedgps_loss_and_grad(model, local, surr, protos, hyper)
+    ref_loss, ref_grad = reference_composite(model, local, surr, protos, hyper)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+
+class TestVectorisedEquivalence:
+    """The vectorised class means and composite objective against the loop
+    reference, at rtol 1e-12 for loss and gradient."""
+
+    @pytest.mark.parametrize("n", [1, 7, 32, 640])
+    def test_class_means_match_loop(self, n):
+        rng = np.random.default_rng(n)
+        emb = rng.standard_normal((n, 5))
+        labels = rng.choice([0, 2, 3, 6], n)  # classes 1, 4, 5 absent
+        means, counts = alg._class_means(emb, labels, 7)
+        ref_means, ref_counts = reference_class_means(emb, labels, 7)
+        assert np.array_equal(counts, ref_counts)
+        np.testing.assert_allclose(means, ref_means, rtol=1e-12, atol=1e-15)
+        assert np.all(means[counts == 0] == 0.0)
+
+    @pytest.mark.parametrize("lambda1", [0.0, 0.3])
+    @pytest.mark.parametrize("lambda2", [0.0, 0.4])
+    @pytest.mark.parametrize("surrogate_ce", [0.0, 1.0])
+    @pytest.mark.parametrize("with_protos", [True, False])
+    def test_every_term_combination(self, lambda1, lambda2, surrogate_ce, with_protos):
+        hyper = alg.FedGpsHyper(lambda1=lambda1, lambda2=lambda2, surrogate_ce=surrogate_ce)
+        assert_composite_matches_loop(50, hyper, with_protos=with_protos)
+
+    @pytest.mark.parametrize("n_local,n_surr,local_classes,surr_classes", [
+        (8, 8, [0, 1], [1, 2, 3]),      # class 0 only local, classes 2 and 3 only surrogate
+        (8, 8, [3], [0, 1, 2, 3]),      # one shared class
+        (8, 8, [0, 1], [2, 3]),         # nothing shared: stage 1 contributes nothing
+        (3, 32, [0, 1, 2, 3], [0, 1, 2, 3]),  # a shard's short last minibatch
+    ])
+    def test_class_coverage_and_batch_sizes(self, n_local, n_surr, local_classes, surr_classes):
+        hyper = alg.FedGpsHyper(lambda1=0.5, lambda2=0.25)
+        assert_composite_matches_loop(52, hyper, n_local, n_surr, local_classes, surr_classes)
+
+    def test_prototypes_match_loop(self):
+        model = tiny_model(seed=56, classes=3)
+        rng = np.random.default_rng(57)
+        feats = rng.standard_normal((30, 4))
+        labels = np.repeat(np.arange(3), 10)
+        protos = alg.compute_local_prototypes(model, dat.LabeledDataset(feats, labels, 3))
+        ref_means, ref_counts = reference_class_means(
+            nn.forward(model, feats).embeddings, labels, 3)
+        assert np.array_equal(protos.counts, ref_counts)
+        np.testing.assert_allclose(protos.means, ref_means, rtol=1e-12, atol=1e-15)
 
 
 class TestRectifiedGradient:

@@ -140,6 +140,7 @@ class TestRunArtifacts:
         assert set(scanned) == {"fedavg"}
         assert len(scanned["fedavg"]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_flagged(self, tmp_path):
         cfg = small_config(tmp_path, eta_l=1e154, rounds=2)
         result = runner.run_one(cfg, 0, 0)
@@ -191,6 +192,7 @@ class TestCli:
         assert "friedman chi2=" in text and "critical distance=" in text
         assert (out / "nemenyi.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_run_diverged_exit_code(self, tmp_path):
         code = cli.main(["run", "--rounds", "2", "--num-clients", "2",
                          "--sample-rate", "1.0", "--num-classes", "3",
