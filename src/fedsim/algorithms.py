@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .nn import MlpModel, backward, flatten, forward, unflatten_like
-from .protocol import ClientState
+from .protocol import ClientState, apply_global_delta, mean_delta
 
 
 class DivergedError(RuntimeError):
@@ -255,37 +255,43 @@ class _BatchCycler:
         return batch
 
 
-def _local_sgd(template: MlpModel, theta_start: np.ndarray, features: np.ndarray,
-               labels: np.ndarray, hyper: FedGpsHyper, grad_fn,
-               data_rng: np.random.Generator,
-               step_offset: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Momentum-SGD over shuffled minibatches for E local epochs.
+def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
+               dataset: LabeledDataset, hyper: FedGpsHyper, grad_fn, round_index: int,
+               step_offset: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Momentum-SGD over the client's shuffled shard for E local epochs.
 
     `grad_fn(model, xb, yb)` returns the flat gradient for one minibatch.
     `step_offset`, when given, is added to every step's displacement after
-    momentum smoothing (control-variate style). Returns (theta_end, number
-    of steps taken). Overflow on the way to a non-finite loss is not
-    warned about: `DivergedError` reports it.
+    momentum smoothing (control-variate style). A `DivergedError` from a
+    step is raised again naming the round and the client, without overflow
+    warnings on the way. Caches the delta on the client and returns
+    (delta, theta_end, number of steps taken).
     """
+    features = dataset.features[client.shard]
+    labels = dataset.labels[client.shard]
     theta = theta_start.copy()
     velocity = np.zeros_like(theta)
     n = len(labels)
     bs = min(hyper.batch_size, n)
     steps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(hyper.local_epochs):
-            order = data_rng.permutation(n)
-            for start in range(0, n, bs):
-                mb = order[start:start + bs]
-                model = unflatten_like(template, theta)
-                grad = grad_fn(model, features[mb], labels[mb])
-                velocity = hyper.momentum * velocity + grad
-                if step_offset is None:
-                    theta = theta - hyper.eta_l * velocity
-                else:
-                    theta = theta - hyper.eta_l * (velocity + step_offset)
-                steps += 1
-    return theta, steps
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(hyper.local_epochs):
+                order = client.data_rng.permutation(n)
+                for start in range(0, n, bs):
+                    mb = order[start:start + bs]
+                    model = unflatten_like(template, theta)
+                    grad = grad_fn(model, features[mb], labels[mb])
+                    velocity = hyper.momentum * velocity + grad
+                    if step_offset is None:
+                        theta = theta - hyper.eta_l * velocity
+                    else:
+                        theta = theta - hyper.eta_l * (velocity + step_offset)
+                    steps += 1
+    except DivergedError as err:
+        raise DivergedError(str(err), round_index, client.id) from None
+    client.last_delta = theta - theta_start
+    return client.last_delta, theta, steps
 
 
 def fedgps_local_train(client: ClientState, template: MlpModel,
@@ -301,36 +307,26 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     the parameter delta and fresh local prototypes over the full
     surrogate set, and caches the delta on the client.
     """
-    x = dataset.features[client.shard]
-    y = dataset.labels[client.shard]
     if nsg is not None and hyper.nsg_sign == -1.0:
         nsg = -nsg
 
-    surrogate_off = (hyper.surrogate_ce == 0.0 and hyper.lambda1 == 0.0
-                     and hyper.lambda2 == 0.0)
     cycler = None
-    if not surrogate_off:
+    if hyper.surrogate_ce != 0.0 or hyper.lambda1 != 0.0 or hyper.lambda2 != 0.0:
         cycler = _BatchCycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
 
     def grad_fn(model, xb, yb):
-        if surrogate_off:
-            surr = None
-        else:
+        surr = None
+        if cycler is not None:
             mb = cycler.next()
             surr = (surrogate.features[mb], surrogate.labels[mb])
 
         def closure(m):
             return fedgps_loss_and_grad(m, (xb, yb), surr, global_prototypes, hyper)
 
-        try:
-            return rectified_gradient(model, nsg, hyper.lambda_g, closure)
-        except DivergedError as err:
-            raise DivergedError(str(err), round_index, client.id) from None
+        return rectified_gradient(model, nsg, hyper.lambda_g, closure)
 
-    theta_end, _ = _local_sgd(template, theta_global, x, y, hyper,
-                              grad_fn, client.data_rng)
-    delta = theta_end - theta_global
-    client.record_participation(round_index, delta)
+    delta, theta_end, _ = _local_sgd(client, template, theta_global, dataset, hyper,
+                                     grad_fn, round_index)
     prototypes = compute_local_prototypes(unflatten_like(template, theta_end), surrogate)
     return delta, prototypes
 
@@ -339,44 +335,27 @@ def fedavg_local_train(client: ClientState, template: MlpModel,
                        theta_global: np.ndarray, dataset: LabeledDataset,
                        hyper: FedGpsHyper, round_index: int = 0) -> np.ndarray:
     """Plain momentum SGD on local cross-entropy (plus L2)."""
-    x = dataset.features[client.shard]
-    y = dataset.labels[client.shard]
-
     def grad_fn(model, xb, yb):
-        try:
-            return ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
-        except DivergedError as err:
-            raise DivergedError(str(err), round_index, client.id) from None
+        return ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
 
-    theta_end, _ = _local_sgd(template, theta_global, x, y, hyper,
-                              grad_fn, client.data_rng)
-    delta = theta_end - theta_global
-    client.record_participation(round_index, delta)
-    return delta
+    return _local_sgd(client, template, theta_global, dataset, hyper,
+                      grad_fn, round_index)[0]
 
 
 def fedprox_local_train(client: ClientState, template: MlpModel,
                         theta_global: np.ndarray, dataset: LabeledDataset,
                         hyper: FedGpsHyper, round_index: int = 0) -> np.ndarray:
     """FedAvg plus the proximal pull mu*(theta - theta_global)."""
-    x = dataset.features[client.shard]
-    y = dataset.labels[client.shard]
     mu = hyper.prox_mu
 
     def grad_fn(model, xb, yb):
-        try:
-            grad = ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
-        except DivergedError as err:
-            raise DivergedError(str(err), round_index, client.id) from None
+        grad = ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
         if mu != 0.0:
             grad = grad + mu * (flatten(model) - theta_global)
         return grad
 
-    theta_end, _ = _local_sgd(template, theta_global, x, y, hyper,
-                              grad_fn, client.data_rng)
-    delta = theta_end - theta_global
-    client.record_participation(round_index, delta)
-    return delta
+    return _local_sgd(client, template, theta_global, dataset, hyper,
+                      grad_fn, round_index)[0]
 
 
 def scaffold_local_train(client: ClientState, template: MlpModel,
@@ -392,21 +371,12 @@ def scaffold_local_train(client: ClientState, template: MlpModel,
     Afterwards the client control becomes
     c_k - c + (theta_global - theta_end) / (steps * eta_l).
     """
-    x = dataset.features[client.shard]
-    y = dataset.labels[client.shard]
-    correction = server_control - client_control
-
     def grad_fn(model, xb, yb):
-        try:
-            return ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
-        except DivergedError as err:
-            raise DivergedError(str(err), round_index, client.id) from None
+        return ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
 
-    theta_end, steps = _local_sgd(template, theta_global, x, y, hyper,
-                                  grad_fn, client.data_rng,
-                                  step_offset=correction)
-    delta = theta_end - theta_global
-    client.record_participation(round_index, delta)
+    delta, theta_end, steps = _local_sgd(client, template, theta_global, dataset, hyper,
+                                         grad_fn, round_index,
+                                         step_offset=server_control - client_control)
     new_control = client_control - server_control + \
         (theta_global - theta_end) / (steps * hyper.eta_l)
     return delta, new_control
@@ -419,17 +389,6 @@ def fedavgm_server_update(server, deltas: dict[int, np.ndarray],
     Returns the new velocity. `prev_global_delta` records the change
     actually applied, which under momentum is no longer eta_g*mean(deltas).
     """
-    if not deltas:
-        raise ValueError("cannot aggregate an empty delta map")
-    order = sorted(deltas)
-    total = np.zeros_like(server.global_params)
-    for k in order:
-        total += deltas[k]
-    velocity = beta * velocity + total / len(order)
-    applied = server.eta_g * velocity
-    server.global_params = server.global_params + applied
-    server.prev_selected = tuple(order)
-    server.prev_deltas = {k: deltas[k] for k in order}
-    server.prev_global_delta = applied
-    server.round += 1
+    velocity = beta * velocity + mean_delta(deltas)
+    apply_global_delta(server, deltas, server.eta_g * velocity)
     return velocity

@@ -10,6 +10,7 @@ The FEDSIM_OUT_ROOT environment variable relocates all outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,17 +27,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_DIAG_FAIL = 4
 
-_OVERRIDE_KEYS = [
-    "dataset_kind", "num_classes", "input_dim", "n_per_class", "separation",
-    "noise_std", "data_seed", "images_path", "labels_path", "csv_path",
-    "test_fraction", "num_clients", "sample_rate", "rounds", "local_epochs",
-    "batch_size", "partition_kind", "alpha", "classes_per_client",
-    "scenario_seeds", "training_seeds", "algo", "eta_g", "eta_l", "momentum",
-    "lambda1", "lambda2", "lambda3", "lambda_g", "surrogate_ce", "nsg_sign",
-    "prox_mu", "fedavgm_beta", "prototype_agg", "surrogate_n_per_class",
-    "surrogate_mean_scale", "surrogate_std", "surrogate_seed", "hidden",
-    "eval_cadence", "divergence_cadence", "out_dir", "workers",
-]
+_OVERRIDE_KEYS = [f.name for f in dataclasses.fields(runner.ExperimentConfig)]
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:

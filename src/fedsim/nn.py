@@ -65,13 +65,6 @@ class MlpModel:
     def _layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [*self.extractor, self.classifier]
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            extractor=[(w.copy(), b.copy()) for w, b in self.extractor],
-            classifier=(self.classifier[0].copy(), self.classifier[1].copy()),
-            activation=self.activation,
-        )
-
 
 @dataclass
 class ForwardTrace:

@@ -58,14 +58,9 @@ class ClientState:
     data_rng: np.random.Generator
     surrogate_rng: np.random.Generator
     last_delta: np.ndarray | None = None
-    last_participation_round: int | None = None
 
     def __post_init__(self):
         self.shard = np.asarray(self.shard, dtype=np.int64)
-
-    def record_participation(self, round_index: int, delta: np.ndarray) -> None:
-        self.last_delta = delta
-        self.last_participation_round = round_index
 
 
 @dataclass
@@ -111,23 +106,35 @@ def sample_clients(num_clients: int, rate: float, rng: np.random.Generator,
 def aggregate(server: ServerState, deltas: dict[int, np.ndarray]) -> np.ndarray:
     """Apply theta <- theta + eta_g * mean(deltas), summing in ascending
     client-id order, and roll the prev_* bookkeeping forward."""
+    for k in sorted(deltas):
+        if deltas[k].shape != server.global_params.shape:
+            raise ProtocolError(f"delta from client {k} has wrong length")
+    apply_global_delta(server, deltas, server.eta_g * mean_delta(deltas))
+    server.check_invariants()
+    return server.global_params
+
+
+def mean_delta(deltas: dict[int, np.ndarray]) -> np.ndarray:
+    """Mean of the deltas, summed in ascending client-id order."""
     if not deltas:
         raise ProtocolError("cannot aggregate an empty delta map")
     order = sorted(deltas)
-    for k in order:
-        if deltas[k].shape != server.global_params.shape:
-            raise ProtocolError(f"delta from client {k} has wrong length")
-    total = np.zeros_like(server.global_params)
+    total = np.zeros_like(deltas[order[0]])
     for k in order:
         total += deltas[k]
-    applied = server.eta_g * (total / len(order))
+    return total / len(order)
+
+
+def apply_global_delta(server: ServerState, deltas: dict[int, np.ndarray],
+                       applied: np.ndarray) -> None:
+    """theta <- theta + applied, rolling the prev_* bookkeeping forward to
+    the clients whose `deltas` produced it."""
+    order = sorted(deltas)
     server.global_params = server.global_params + applied
     server.prev_selected = tuple(order)
     server.prev_deltas = {k: deltas[k] for k in order}
     server.prev_global_delta = applied
     server.round += 1
-    server.check_invariants()
-    return server.global_params
 
 
 def non_self_gradient(server: ServerState, client_id: int, eta_g: float,
@@ -140,10 +147,7 @@ def non_self_gradient(server: ServerState, client_id: int, eta_g: float,
     if not others:
         raise ProtocolError(
             f"no non-self deltas available for client {client_id}")
-    total = np.zeros_like(server.global_params)
-    for k in others:
-        total += server.prev_deltas[k]
-    return -eta_g * eta_l * (total / len(others))
+    return -eta_g * eta_l * mean_delta({k: server.prev_deltas[k] for k in others})
 
 
 def non_self_gradient_cf(global_delta: np.ndarray,

@@ -28,6 +28,9 @@ from . import nn
 from . import protocol as proto
 
 ALGORITHMS = ("fedavg", "fedavgm", "fedprox", "scaffold", "fedgps", "fedgps_cf")
+# Path rectification: local training needs a non-self gradient, so each
+# round needs at least two participants.
+RECTIFIED = ("fedgps", "fedgps_cf")
 ENV_OUTPUT_ROOT = "FEDSIM_OUT_ROOT"
 
 
@@ -131,7 +134,7 @@ class ExperimentConfig:
             problems.append("scenario_seeds and training_seeds must be non-empty")
         if self.algo not in ALGORITHMS:
             problems.append(f"algo must be one of {ALGORITHMS}, got {self.algo!r}")
-        if self.algo in ("fedgps", "fedgps_cf") and round(self.sample_rate * self.num_clients) < 2:
+        if self.algo in RECTIFIED and round(self.sample_rate * self.num_clients) < 2:
             problems.append("path rectification needs at least 2 sampled clients per round")
         if min(self.lambda1, self.lambda2, self.lambda3, self.lambda_g) < 0:
             problems.append("lambda weights must be >= 0")
@@ -247,11 +250,12 @@ class RunResult:
         return out
 
 
-def _triangle_fields(template, server, selected, client_end_params, train,
-                     partition, surrogate, probe: dat.LabeledDataset) -> dict:
+def _triangle_fields(template, server, selected, client_end_params, uploads,
+                     train, partition, probe: dat.LabeledDataset) -> dict:
     """Empirical transport-bound monitor: checks whether the global
     features' distance to the global prototypes is covered by the two
-    alignment stages plus the measured extractor discrepancy."""
+    alignment stages plus the measured extractor discrepancy. `uploads`
+    holds the prototype sets the clients uploaded this round."""
     global_model = nn.unflatten_like(template, server.global_params)
     probe_trace = nn.forward(global_model, probe.features)
     g_means, g_counts = alg._class_means(probe_trace.embeddings, probe.labels,
@@ -266,7 +270,7 @@ def _triangle_fields(template, server, selected, client_end_params, train,
         local_trace = nn.forward(local_model, train.features[shard])
         l_means, l_counts = alg._class_means(local_trace.embeddings,
                                              train.labels[shard], train.num_classes)
-        protos = alg.compute_local_prototypes(local_model, surrogate)
+        protos = uploads[k]
         eps1.append(ev.class_mean_distance(l_means, l_counts, protos.means, protos.counts))
         eps2.append(ev.class_mean_distance(protos.means, protos.counts,
                                            server.global_prototypes, proto_counts))
@@ -277,6 +281,26 @@ def _triangle_fields(template, server, selected, client_end_params, train,
     rhs = max(eps1) + max(eps2) + max(kappas)
     return {"triangle_lhs": lhs, "triangle_rhs": rhs,
             "triangle_kappa": max(kappas), "triangle_holds": bool(lhs <= rhs)}
+
+
+def _non_self_gradient(config: ExperimentConfig, server: proto.ServerState,
+                       client: proto.ClientState) -> np.ndarray | None:
+    """The non-self gradient `client` trains against this round, or None
+    while there is none: `fedgps` builds it on the server from the other
+    clients' last deltas, `fedgps_cf` from the last global change."""
+    if config.algo == "fedgps":
+        if any(j != client.id for j in server.prev_selected):
+            return proto.non_self_gradient(server, client.id, config.eta_g, config.eta_l)
+        return None
+    if server.prev_global_delta is None:
+        return None
+    was_selected = client.id in server.prev_selected
+    own = None
+    if was_selected and client.last_delta is not None:
+        # remove this client's contribution to the applied global change:
+        # eta_g * Delta_k / |S_{t-1}|
+        own = config.eta_g * client.last_delta / len(server.prev_selected)
+    return proto.non_self_gradient_cf(server.prev_global_delta, own, was_selected)
 
 
 def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
@@ -315,7 +339,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     server_control = np.zeros_like(theta0)  # scaffold
     client_controls = {k: np.zeros_like(theta0) for k in range(config.num_clients)}
     meter = proto.CommMeter()
-    min_sel = 2 if config.algo in ("fedgps", "fedgps_cf") else 1
+    min_sel = 2 if config.algo in RECTIFIED else 1
 
     records = []
     series = []
@@ -327,51 +351,28 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         selected = proto.sample_clients(config.num_clients, config.sample_rate,
                                         selection_rng, min_size=min_sel)
         deltas: dict[int, np.ndarray] = {}
-        proto_uploads: dict[int, np.ndarray] = {}
+        proto_uploads: dict[int, alg.PrototypeSet] = {}
         control_updates = {}
         try:
             for k in selected:
                 client = clients[k]
-                if config.algo == "fedgps":
-                    nsg = None
-                    if server.prev_selected and any(j != k for j in server.prev_selected):
-                        nsg = proto.non_self_gradient(server, k, config.eta_g, config.eta_l)
-                    delta, protos = alg.fedgps_local_train(
-                        client, template, server.global_params, nsg, train, surrogate,
+                if config.algo in RECTIFIED:
+                    deltas[k], protos = alg.fedgps_local_train(
+                        client, template, server.global_params,
+                        _non_self_gradient(config, server, client), train, surrogate,
                         server.global_prototypes, hyper, round_index=t)
                     proto.upload_prototypes(server, k, protos.means)
-                    proto_uploads[k] = protos.means
-                elif config.algo == "fedgps_cf":
-                    nsg = None
-                    if server.prev_global_delta is not None:
-                        was_selected = k in server.prev_selected
-                        own = None
-                        if was_selected and client.last_delta is not None:
-                            # remove this client's contribution to the applied
-                            # global change: eta_g * Delta_k / |S_{t-1}|
-                            own = config.eta_g * client.last_delta / len(server.prev_selected)
-                        nsg = proto.non_self_gradient_cf(server.prev_global_delta,
-                                                         own, was_selected)
-                    delta, protos = alg.fedgps_local_train(
-                        client, template, server.global_params, nsg, train, surrogate,
-                        server.global_prototypes, hyper, round_index=t)
-                    proto.upload_prototypes(server, k, protos.means)
-                    proto_uploads[k] = protos.means
-                elif config.algo == "fedavg":
-                    delta = alg.fedavg_local_train(client, template, server.global_params,
-                                                   train, hyper, round_index=t)
-                elif config.algo == "fedavgm":
-                    delta = alg.fedavg_local_train(client, template, server.global_params,
-                                                   train, hyper, round_index=t)
+                    proto_uploads[k] = protos
                 elif config.algo == "fedprox":
-                    delta = alg.fedprox_local_train(client, template, server.global_params,
-                                                    train, hyper, round_index=t)
-                else:  # scaffold
-                    delta, new_control = alg.scaffold_local_train(
+                    deltas[k] = alg.fedprox_local_train(client, template, server.global_params,
+                                                        train, hyper, round_index=t)
+                elif config.algo == "scaffold":
+                    deltas[k], control_updates[k] = alg.scaffold_local_train(
                         client, template, server.global_params, train, hyper,
                         server_control, client_controls[k], round_index=t)
-                    control_updates[k] = new_control
-                deltas[k] = delta
+                else:  # fedavg, fedavgm
+                    deltas[k] = alg.fedavg_local_train(client, template, server.global_params,
+                                                       train, hyper, round_index=t)
         except alg.DivergedError:
             diverged = True
             break
@@ -402,10 +403,10 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                   "comm_down": down, "comm_up": up, "divergence": None}
         if proto_uploads and (t + 1) % config.divergence_cadence == 0:
             record["divergence"] = float(np.mean(
-                [ev.prototype_divergence(proto_uploads[k], server.global_prototypes)
+                [ev.prototype_divergence(proto_uploads[k].means, server.global_prototypes)
                  for k in selected]))
             record.update(_triangle_fields(template, server, selected, client_end,
-                                           train, partition, surrogate, probe))
+                                           proto_uploads, train, partition, probe))
         record["wallclock_ms"] = (time.perf_counter() - tic) * 1000.0
         records.append(record)
 

@@ -296,6 +296,32 @@ def run_local(algo_fn, seed=0, **kw):
     return algo_fn(client, model, theta, ds, **kw), theta
 
 
+@pytest.mark.parametrize("trainer", ["fedavg", "fedprox", "scaffold", "fedgps"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divergence_names_round_and_client(trainer):
+    ds = dat.gen_blobs(3, 4, 30, 2.0, 0.5, seed=21)
+    surrogate = dat.gen_surrogate(dat.make_surrogate_spec(3, 4, seed=23, n_per_class=4))
+    model = tiny_model(seed=20, classes=3)
+    theta = nn.flatten(model)
+    client = make_client(np.arange(45), cid=3)
+    hyper = alg.FedGpsHyper(eta_l=1e154, batch_size=8)
+    zeros = np.zeros_like(theta)
+    calls = {
+        "fedavg": lambda: alg.fedavg_local_train(client, model, theta, ds, hyper,
+                                                 round_index=7),
+        "fedprox": lambda: alg.fedprox_local_train(client, model, theta, ds, hyper,
+                                                   round_index=7),
+        "scaffold": lambda: alg.scaffold_local_train(client, model, theta, ds, hyper,
+                                                     zeros, zeros, round_index=7),
+        "fedgps": lambda: alg.fedgps_local_train(client, model, theta, None, ds, surrogate,
+                                                 np.zeros((3, model.embed_dim)), hyper,
+                                                 round_index=7),
+    }
+    with pytest.raises(alg.DivergedError) as err:
+        calls[trainer]()
+    assert (err.value.round_index, err.value.client_id) == (7, 3)
+
+
 class TestBaselines:
     def test_zero_lr_rejected_but_tiny_lr_freezes(self):
         with pytest.raises(ValueError):
@@ -384,7 +410,6 @@ class TestFedGpsLocalTrain:
                                                np.zeros((2, model.embed_dim)),
                                                hyper, round_index=4)
         assert np.array_equal(client.last_delta, delta)
-        assert client.last_participation_round == 4
         assert protos.means.shape == (2, model.embed_dim)
 
     def test_nsg_sign_flip_changes_trajectory(self):
