@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import MlpModel, backward, flatten, forward, unflatten_like
+from .nn import MlpModel, backward, forward, unflatten_like
 from .protocol import ClientState, apply_global_delta, mean_delta
 
 
@@ -100,16 +100,24 @@ def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> Prot
     return PrototypeSet(means, counts)
 
 
-def _ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the logits."""
-    n = len(labels)
+def _ce_from_logits(logits: np.ndarray, labels: np.ndarray, split: int | None = None,
+                    weight: float = 1.0) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its gradient w.r.t. the logits. With `split`,
+    the rows from `split` on are a second batch, weighted by `weight`: one
+    softmax pass, then each batch's mean and its rows divided by its size."""
+    rows = np.arange(len(labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(logsumexp - shifted[np.arange(n), labels]))
     probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs[np.arange(n), labels] -= 1.0
-    return loss, probs / n
+    sums = probs.sum(axis=1)
+    losses = np.log(sums) - shifted[rows, labels]
+    probs /= sums[:, None]
+    probs[rows, labels] -= 1.0
+    if split is None:
+        return float(np.mean(losses)), probs / len(labels)
+    probs[:split] /= split
+    probs[split:] /= len(labels) - split
+    probs[split:] *= weight
+    return float(np.mean(losses[:split])) + weight * float(np.mean(losses[split:])), probs
 
 
 def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
@@ -119,7 +127,7 @@ def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
     loss, dlogits = _ce_from_logits(trace.logits, batch_y)
     grad = backward(model, trace, dlogits)
     if l2 != 0.0:
-        theta = flatten(model)
+        theta = model.theta
         loss += l2 * float(theta @ theta)
         grad += (2.0 * l2) * theta
     if not np.isfinite(loss):
@@ -163,9 +171,8 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
     x_surr, y_surr = surrogate_batch
     n_local = len(y_local)
     trace = forward(model, np.concatenate([x_local, x_surr]))
-    ce_l, dlogits_l = _ce_from_logits(trace.logits[:n_local], y_local)
-    ce_s, dlogits_s = _ce_from_logits(trace.logits[n_local:], y_surr)
-    loss = ce_l + hyper.surrogate_ce * ce_s
+    loss, dlogits = _ce_from_logits(trace.logits, np.concatenate([y_local, y_surr]),
+                                    n_local, hyper.surrogate_ce)
     dembed = None
 
     if hyper.lambda1 > 0 or hyper.lambda2 > 0:
@@ -195,10 +202,9 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
         dembed = np.concatenate([(g_mu / np.maximum(n_l, 1)[:, None])[y_local],
                                  (g_nu / np.maximum(n_s, 1)[:, None])[y_surr]])
 
-    dlogits = np.concatenate([dlogits_l, hyper.surrogate_ce * dlogits_s])
     grad = backward(model, trace, dlogits, dembed)
     if hyper.lambda3 != 0.0:
-        theta = flatten(model)
+        theta = model.theta
         loss += hyper.lambda3 * float(theta @ theta)
         grad += (2.0 * hyper.lambda3) * theta
     if not np.isfinite(loss):
@@ -206,33 +212,33 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
     return loss, grad
 
 
-def _unit_direction(vec: np.ndarray) -> np.ndarray:
-    """vec / ||vec||_2, computed so that inputs differing only by an exact
-    positive factor produce bit-identical outputs (divide by the largest
-    magnitude first, then normalize)."""
-    scale = np.max(np.abs(vec))
-    scaled = vec / scale
-    return scaled / np.linalg.norm(scaled)
+def rectification_shift(nsg: np.ndarray | None, lambda_g: float) -> np.ndarray | None:
+    """lambda_g * nsg/||nsg||, or None when degenerate (no nsg, lambda_g = 0
+    or ||nsg|| < 1e-12). Dividing by the largest magnitude first makes any
+    exact positive multiple of nsg give a bit-identical shift."""
+    if nsg is None or lambda_g == 0.0 or np.linalg.norm(nsg) < 1e-12:
+        return None
+    scaled = nsg / np.max(np.abs(nsg))
+    return lambda_g * (scaled / np.linalg.norm(scaled))
 
 
-def rectified_gradient(model: MlpModel, nsg: np.ndarray | None, lambda_g: float,
-                       loss_and_grad) -> np.ndarray:
+def rectified_gradient(model: MlpModel, nsg: np.ndarray | None, lambda_g: float, loss_and_grad,
+                       shift: np.ndarray | None = None, at: MlpModel | None = None) -> np.ndarray:
     """Gradient of `loss_and_grad` at theta + lambda_g * nsg/||nsg||.
 
-    The caller's model is never mutated; the perturbed evaluation happens
-    on a rebuilt copy. Degenerate inputs (no nsg, lambda_g = 0, or
-    ||nsg|| < 1e-12) fall back to the unperturbed gradient.
+    The caller's model is never mutated; degenerate inputs fall back to the
+    unperturbed gradient. A caller stepping against one nsg all round passes
+    its `rectification_shift` and a scratch model `at` for theta + shift.
     """
-    if nsg is None or lambda_g == 0.0 or np.linalg.norm(nsg) < 1e-12:
-        loss, grad = loss_and_grad(model)
-        if not np.isfinite(loss):
-            raise DivergedError("non-finite loss at unperturbed point")
-        return grad
-    unit = _unit_direction(nsg)
-    perturbed = unflatten_like(model, flatten(model) + lambda_g * unit)
-    loss, grad = loss_and_grad(perturbed)
+    if shift is None:
+        shift = rectification_shift(nsg, lambda_g)
+    point, where = model, "unperturbed"
+    if shift is not None:
+        point, where = at or unflatten_like(model, np.empty_like(model.theta)), "rectified"
+        np.add(model.theta, shift, out=point.theta)
+    loss, grad = loss_and_grad(point)
     if not np.isfinite(loss):
-        raise DivergedError("non-finite loss at rectified point")
+        raise DivergedError(f"non-finite loss at {where} point")
     return grad
 
 
@@ -257,20 +263,20 @@ class _BatchCycler:
 
 def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
                dataset: LabeledDataset, hyper: FedGpsHyper, grad_fn, round_index: int,
-               step_offset: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+               step_offset: np.ndarray | None = None) -> tuple[np.ndarray, MlpModel, int]:
     """Momentum-SGD over the client's shuffled shard for E local epochs.
 
-    `grad_fn(model, xb, yb)` returns the flat gradient for one minibatch.
-    `step_offset`, when given, is added to every step's displacement after
-    momentum smoothing (control-variate style). A `DivergedError` from a
-    step is raised again naming the round and the client, without overflow
-    warnings on the way. Caches the delta on the client and returns
-    (delta, theta_end, number of steps taken).
+    `grad_fn(model, xb, yb)` returns the flat gradient for one minibatch;
+    every step updates `model.theta` in place. `step_offset`, when given,
+    is added to every step's displacement after momentum smoothing
+    (control-variate style). A `DivergedError` from a step is raised again
+    naming the round and the client, without overflow warnings on the way.
+    Caches the delta on the client and returns (delta, end model, steps).
     """
     features = dataset.features[client.shard]
     labels = dataset.labels[client.shard]
-    theta = theta_start.copy()
-    velocity = np.zeros_like(theta)
+    model = unflatten_like(template, theta_start.copy())
+    velocity = np.zeros_like(theta_start)
     n = len(labels)
     bs = min(hyper.batch_size, n)
     steps = 0
@@ -280,18 +286,18 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
                 order = client.data_rng.permutation(n)
                 for start in range(0, n, bs):
                     mb = order[start:start + bs]
-                    model = unflatten_like(template, theta)
                     grad = grad_fn(model, features[mb], labels[mb])
-                    velocity = hyper.momentum * velocity + grad
+                    velocity *= hyper.momentum
+                    velocity += grad
                     if step_offset is None:
-                        theta = theta - hyper.eta_l * velocity
+                        model.theta -= hyper.eta_l * velocity
                     else:
-                        theta = theta - hyper.eta_l * (velocity + step_offset)
+                        model.theta -= hyper.eta_l * (velocity + step_offset)
                     steps += 1
     except DivergedError as err:
         raise DivergedError(str(err), round_index, client.id) from None
-    client.last_delta = theta - theta_start
-    return client.last_delta, theta, steps
+    client.last_delta = model.theta - theta_start
+    return client.last_delta, model, steps
 
 
 def fedgps_local_train(client: ClientState, template: MlpModel,
@@ -301,14 +307,17 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
                        round_index: int = 0) -> tuple[np.ndarray, PrototypeSet]:
     """One client's round: rectified steps over the composite objective.
 
-    The non-self gradient is fixed for the round and its perturbation is
-    re-applied at every iteration; with rectification and all surrogate
-    terms disabled this trajectory is bit-identical to FedAvg's. Returns
-    the parameter delta and fresh local prototypes over the full
+    The non-self gradient is fixed for the round, so its shift is computed
+    once and re-applied at every iteration; with rectification and all
+    surrogate terms disabled this trajectory is bit-identical to FedAvg's.
+    Returns the parameter delta and fresh local prototypes over the full
     surrogate set, and caches the delta on the client.
     """
     if nsg is not None and hyper.nsg_sign == -1.0:
         nsg = -nsg
+    shift = rectification_shift(nsg, hyper.lambda_g)
+    at = None if shift is None else MlpModel(  # scratch model for theta + shift
+        template.extractor, template.classifier, theta=np.empty(template.num_params))
 
     cycler = None
     if hyper.surrogate_ce != 0.0 or hyper.lambda1 != 0.0 or hyper.lambda2 != 0.0:
@@ -323,12 +332,11 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
         def closure(m):
             return fedgps_loss_and_grad(m, (xb, yb), surr, global_prototypes, hyper)
 
-        return rectified_gradient(model, nsg, hyper.lambda_g, closure)
+        return rectified_gradient(model, nsg, hyper.lambda_g, closure, shift, at)
 
-    delta, theta_end, _ = _local_sgd(client, template, theta_global, dataset, hyper,
+    delta, model_end, _ = _local_sgd(client, template, theta_global, dataset, hyper,
                                      grad_fn, round_index)
-    prototypes = compute_local_prototypes(unflatten_like(template, theta_end), surrogate)
-    return delta, prototypes
+    return delta, compute_local_prototypes(model_end, surrogate)
 
 
 def fedavg_local_train(client: ClientState, template: MlpModel,
@@ -351,7 +359,7 @@ def fedprox_local_train(client: ClientState, template: MlpModel,
     def grad_fn(model, xb, yb):
         grad = ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
         if mu != 0.0:
-            grad = grad + mu * (flatten(model) - theta_global)
+            grad = grad + mu * (model.theta - theta_global)
         return grad
 
     return _local_sgd(client, template, theta_global, dataset, hyper,
@@ -374,11 +382,11 @@ def scaffold_local_train(client: ClientState, template: MlpModel,
     def grad_fn(model, xb, yb):
         return ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
 
-    delta, theta_end, steps = _local_sgd(client, template, theta_global, dataset, hyper,
+    delta, model_end, steps = _local_sgd(client, template, theta_global, dataset, hyper,
                                          grad_fn, round_index,
                                          step_offset=server_control - client_control)
     new_control = client_control - server_control + \
-        (theta_global - theta_end) / (steps * hyper.eta_l)
+        (theta_global - model_end.theta) / (steps * hyper.eta_l)
     return delta, new_control
 
 

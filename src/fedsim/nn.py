@@ -2,9 +2,10 @@
 
 The model is a stack of fully connected layers split into a feature
 extractor (linear + rectifier per layer) and a final linear classifier.
-Parameters live in plain float64 numpy arrays; `flatten`/`unflatten_like`
-map a model to/from a single flat vector, which is the unit of all
-federated communication and arithmetic in this package.
+All parameters live in one flat float64 vector, `model.theta`, the unit
+of all federated communication and arithmetic in this package; each layer
+is a reshape view into it. `flatten` returns a copy of that vector, and
+`unflatten_like` builds a model over a given vector, sharing its memory.
 """
 from __future__ import annotations
 
@@ -32,17 +33,28 @@ class MlpModel:
     Weight matrices are stored as (fan_in, fan_out) so a batch flows as
     ``x @ W + b``. The extractor may be empty, in which case the feature
     space is the raw input.
+
+    The layers are copied into a fresh `theta`, unless one is passed: the
+    model is then built over it, and the layers give only the shapes.
     """
 
     extractor: list[tuple[np.ndarray, np.ndarray]]
     classifier: tuple[np.ndarray, np.ndarray]
     activation: str = "relu"
+    theta: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if self.activation != "relu":
             raise ValueError(f"unsupported activation: {self.activation!r}")
         if self.extractor and self.extractor[-1][0].shape[1] != self.classifier[0].shape[0]:
             raise ShapeError("extractor output width must equal classifier input width")
+        size = sum(w.size + b.size for w, b in self._layers())
+        if self.theta is None:
+            self.theta = np.concatenate([a.ravel() for wb in self._layers() for a in wb])
+        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
+        if self.theta.shape != (size,):
+            raise ShapeError(f"expected flat vector of length {size}, got {self.theta.shape}")
+        *self.extractor, self.classifier = _layer_views(self.theta, self._layers())
 
     @property
     def input_dim(self) -> int:
@@ -60,10 +72,20 @@ class MlpModel:
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in self._layers())
+        return self.theta.size
 
     def _layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [*self.extractor, self.classifier]
+
+
+def _layer_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into `flat` with the shapes of `layers`."""
+    views, offset = [], 0
+    for w, b in layers:
+        end = offset + w.size
+        views.append((flat[offset:end].reshape(w.shape), flat[end:end + b.size]))
+        offset = end + b.size
+    return views
 
 
 @dataclass
@@ -93,29 +115,15 @@ def init_mlp(input_dim: int, hidden: tuple[int, ...], num_classes: int,
 
 
 def flatten(model: MlpModel) -> np.ndarray:
-    """Concatenate all parameters (extractor first, classifier last)."""
-    parts = []
-    for w, b in model._layers():
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    """A copy of all parameters (extractor first, classifier last)."""
+    return model.theta.copy()
 
 
 def unflatten_like(template: MlpModel, vec: np.ndarray) -> MlpModel:
-    """Rebuild a model with the template's shapes from a flat vector."""
-    if vec.ndim != 1 or vec.size != template.num_params:
-        raise ShapeError(
-            f"expected flat vector of length {template.num_params}, got shape {vec.shape}")
-    layers = []
-    offset = 0
-    for w, b in template._layers():
-        new_w = vec[offset:offset + w.size].reshape(w.shape).copy()
-        offset += w.size
-        new_b = vec[offset:offset + b.size].copy()
-        offset += b.size
-        layers.append((new_w, new_b))
-    return MlpModel(extractor=layers[:-1], classifier=layers[-1],
-                    activation=template.activation)
+    """A model with the template's shapes over `vec`: later writes into
+    `vec` move it (a `vec` that is not contiguous float64 is copied)."""
+    return MlpModel(extractor=template.extractor, classifier=template.classifier,
+                    activation=template.activation, theta=vec)
 
 
 def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
@@ -153,9 +161,11 @@ def backward(model: MlpModel, trace: ForwardTrace, dlogits: np.ndarray,
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != trace.logits.shape:
         raise ShapeError(f"dlogits shape {dlogits.shape} != logits {trace.logits.shape}")
+    grad = np.empty(model.num_params)
+    views = _layer_views(grad, model._layers())
     clf_w, _ = model.classifier
-    grad_clf_w = trace.embeddings.T @ dlogits
-    grad_clf_b = dlogits.sum(axis=0)
+    np.matmul(trace.embeddings.T, dlogits, out=views[-1][0])
+    dlogits.sum(axis=0, out=views[-1][1])
     dh = dlogits @ clf_w.T
     if dembed is not None:
         dembed = np.asarray(dembed, dtype=np.float64)
@@ -164,21 +174,14 @@ def backward(model: MlpModel, trace: ForwardTrace, dlogits: np.ndarray,
                 f"dembed shape {dembed.shape} != embeddings {trace.embeddings.shape}")
         dh = dh + dembed
 
-    grads = [None] * len(model.extractor)
     for i in range(len(model.extractor) - 1, -1, -1):
-        w, _ = model.extractor[i]
         dz = dh * (trace.pre_acts[i] > 0)
         prev = trace.inputs if i == 0 else trace.acts[i - 1]
-        grads[i] = (prev.T @ dz, dz.sum(axis=0))
-        dh = dz @ w.T
-
-    parts = []
-    for gw, gb in grads:
-        parts.append(gw.ravel())
-        parts.append(gb)
-    parts.append(grad_clf_w.ravel())
-    parts.append(grad_clf_b)
-    return np.concatenate(parts)
+        np.matmul(prev.T, dz, out=views[i][0])
+        dz.sum(axis=0, out=views[i][1])
+        if i > 0:
+            dh = dz @ model.extractor[i][0].T
+    return grad
 
 
 def finite_diff_check(model: MlpModel, batch, loss_fn, epsilon: float = 1e-5,
@@ -212,7 +215,7 @@ def finite_diff_check(model: MlpModel, batch, loss_fn, epsilon: float = 1e-5,
 
 
 def save_checkpoint(path, model: MlpModel) -> None:
-    """Little-endian binary checkpoint: magic, version, shapes, raw f64."""
+    """Little-endian binary checkpoint: magic, version, shapes, theta as raw f64."""
     layers = model._layers()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -220,9 +223,7 @@ def save_checkpoint(path, model: MlpModel) -> None:
         fh.write(struct.pack("<I", len(layers)))
         for w, _ in layers:
             fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
-        for w, b in layers:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(model.theta.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> MlpModel:
@@ -235,9 +236,6 @@ def load_checkpoint(path) -> MlpModel:
             raise ValueError(f"unsupported checkpoint version: {version}")
         (n_layers,) = struct.unpack("<I", fh.read(4))
         shapes = [struct.unpack("<II", fh.read(8)) for _ in range(n_layers)]
-        layers = []
-        for rows, cols in shapes:
-            w = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols)
-            b = np.frombuffer(fh.read(8 * cols), dtype="<f8")
-            layers.append((w.astype(np.float64), b.astype(np.float64)))
-    return MlpModel(extractor=layers[:-1], classifier=layers[-1])
+        theta = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+    *extractor, classifier = [(np.empty((r, c)), np.empty(c)) for r, c in shapes]
+    return MlpModel(extractor=extractor, classifier=classifier, theta=theta)

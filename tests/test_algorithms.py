@@ -216,6 +216,165 @@ class TestVectorisedEquivalence:
         np.testing.assert_allclose(protos.means, ref_means, rtol=1e-12, atol=1e-15)
 
 
+def reference_ce(logits, labels):
+    """Cross-entropy as first written: two exponentials, then mean and /n."""
+    n = len(labels)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(n), labels]))
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(n), labels] -= 1.0
+    return loss, probs / n
+
+
+class TestJointCrossEntropy:
+    """One softmax pass over the local and surrogate rows against the two
+    `_ce_from_logits` calls it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 3, 32, 64])
+    def test_ce_from_logits_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        logits = 4.0 * rng.standard_normal((n, 10))
+        labels = rng.integers(0, 10, n)
+        loss, dlogits = alg._ce_from_logits(logits, labels)
+        ref_loss, ref_dlogits = reference_ce(logits, labels)
+        assert loss == ref_loss and np.array_equal(dlogits, ref_dlogits)
+
+    @pytest.mark.parametrize("n_local,n_surr", [(3, 32), (32, 32), (9, 11)])
+    @pytest.mark.parametrize("surrogate_ce", [0.0, 0.5, 1.0])
+    def test_matches_two_calls(self, n_local, n_surr, surrogate_ce):
+        rng = np.random.default_rng(n_local + n_surr)
+        logits = 4.0 * rng.standard_normal((n_local + n_surr, 10))
+        y_local = rng.integers(0, 10, n_local)
+        y_surr = rng.integers(0, 10, n_surr)
+        loss, dlogits = alg._ce_from_logits(logits, np.concatenate([y_local, y_surr]),
+                                            n_local, surrogate_ce)
+        ce_l, d_l = alg._ce_from_logits(logits[:n_local], y_local)
+        ce_s, d_s = alg._ce_from_logits(logits[n_local:], y_surr)
+        assert loss == ce_l + surrogate_ce * ce_s
+        assert np.array_equal(dlogits, np.concatenate([d_l, surrogate_ce * d_s]))
+
+
+class TestHoistedShift:
+    """The per-round shift and scratch model against the raw-nsg call."""
+
+    @pytest.mark.parametrize("case", ["random", "none", "zero_lambda", "tiny_norm"])
+    @pytest.mark.parametrize("objective", ["ce", "composite"])
+    def test_matches_raw_call(self, case, objective):
+        model = tiny_model(seed=60)
+        local, surr = toy_batches(seed=61)
+        rng = np.random.default_rng(62)
+        nsg, lambda_g = {
+            "random": (rng.standard_normal(model.num_params), 0.2),
+            "none": (None, 0.2),
+            "zero_lambda": (rng.standard_normal(model.num_params), 0.0),
+            "tiny_norm": (np.full(model.num_params, 1e-15), 0.5),
+        }[case]
+        if objective == "ce":
+            def fn(m):
+                return alg.ce_loss_and_grad(m, local[0], local[1], 1e-4)
+        else:
+            protos = rng.standard_normal((2, model.embed_dim))
+
+            def fn(m):
+                return alg.fedgps_loss_and_grad(m, local, surr, protos, alg.FedGpsHyper())
+        before = nn.flatten(model)
+        shift = alg.rectification_shift(nsg, lambda_g)
+        assert (shift is None) == (case != "random")
+        at = nn.unflatten_like(model, np.full(model.num_params, np.nan))
+        hoisted = alg.rectified_gradient(model, nsg, lambda_g, fn, shift, at)
+        assert np.array_equal(hoisted, alg.rectified_gradient(model, nsg, lambda_g, fn))
+        assert np.array_equal(nn.flatten(model), before)
+        if shift is not None:
+            assert np.array_equal(at.theta, before + shift)
+
+
+def reference_local_train(client, template, theta_start, dataset, hyper, grad_fn,
+                          step_offset=None):
+    """The local-SGD loop before the flat buffer: a model rebuilt from a
+    copy of theta at every step, and out-of-place updates. Returns the
+    delta and the end point."""
+    features, labels = dataset.features[client.shard], dataset.labels[client.shard]
+    theta, velocity = theta_start.copy(), np.zeros_like(theta_start)
+    n = len(labels)
+    bs = min(hyper.batch_size, n)
+    for _ in range(hyper.local_epochs):
+        order = client.data_rng.permutation(n)
+        for start in range(0, n, bs):
+            mb = order[start:start + bs]
+            grad = grad_fn(nn.unflatten_like(template, theta.copy()), features[mb], labels[mb])
+            velocity = hyper.momentum * velocity + grad
+            if step_offset is None:
+                theta = theta - hyper.eta_l * velocity
+            else:
+                theta = theta - hyper.eta_l * (velocity + step_offset)
+    return theta - theta_start, theta
+
+
+class TestInPlaceDriver:
+    """Trainers on the in-place driver against the rebuilt-model loop."""
+
+    def setup_method(self):
+        self.ds = dat.gen_blobs(3, 4, 30, 2.0, 0.5, seed=70)
+        self.surrogate = dat.gen_surrogate(dat.make_surrogate_spec(3, 4, seed=71, n_per_class=8))
+        self.model = tiny_model(seed=72, classes=3)
+        self.theta = nn.flatten(self.model)
+        self.hyper = alg.FedGpsHyper(local_epochs=2, batch_size=8, lambda_g=0.2,
+                                     nsg_sign=-1.0, prox_mu=0.5)
+
+    def client(self):
+        return make_client(np.arange(45), seed=73)
+
+    def ce_grad(self, m, x, y):
+        return alg.ce_loss_and_grad(m, x, y, self.hyper.lambda3)[1]
+
+    def test_fedavg_fedprox_scaffold(self):
+        hyper, theta = self.hyper, self.theta
+        delta = alg.fedavg_local_train(self.client(), self.model, theta, self.ds, hyper)
+        ref, _ = reference_local_train(self.client(), self.model, theta, self.ds, hyper,
+                                       self.ce_grad)
+        assert np.array_equal(delta, ref)
+        delta = alg.fedprox_local_train(self.client(), self.model, theta, self.ds, hyper)
+        ref, _ = reference_local_train(
+            self.client(), self.model, theta, self.ds, hyper,
+            lambda m, x, y: self.ce_grad(m, x, y) + hyper.prox_mu * (nn.flatten(m) - theta))
+        assert np.array_equal(delta, ref)
+        rng = np.random.default_rng(76)
+        c_server, c_client = 1e-2 * rng.standard_normal((2, theta.size))
+        delta, control = alg.scaffold_local_train(self.client(), self.model, theta, self.ds,
+                                                  hyper, c_server, c_client)
+        ref, ref_end = reference_local_train(self.client(), self.model, theta, self.ds, hyper,
+                                             self.ce_grad, step_offset=c_server - c_client)
+        assert np.array_equal(delta, ref)
+        assert np.array_equal(control, c_client - c_server
+                              + (theta - ref_end) / (12 * hyper.eta_l))
+
+    @pytest.mark.parametrize("with_nsg", [True, False])
+    def test_fedgps(self, with_nsg):
+        hyper, theta = self.hyper, self.theta
+        nsg = np.random.default_rng(74).standard_normal(theta.size) if with_nsg else None
+        protos = np.random.default_rng(75).standard_normal((3, self.model.embed_dim))
+        delta, out = alg.fedgps_local_train(self.client(), self.model, theta, nsg, self.ds,
+                                            self.surrogate, protos, hyper)
+        ref_client = self.client()
+        cycler = alg._BatchCycler(len(self.surrogate), hyper.batch_size,
+                                  ref_client.surrogate_rng)
+        raw_nsg = None if nsg is None else -nsg
+
+        def grad_fn(m, x, y):
+            mb = cycler.next()
+            surr = (self.surrogate.features[mb], self.surrogate.labels[mb])
+            return alg.rectified_gradient(m, raw_nsg, hyper.lambda_g, lambda p: (
+                alg.fedgps_loss_and_grad(p, (x, y), surr, protos, hyper)))
+
+        ref, ref_end = reference_local_train(ref_client, self.model, theta, self.ds, hyper,
+                                             grad_fn)
+        assert np.array_equal(delta, ref)
+        ref_protos = alg.compute_local_prototypes(nn.unflatten_like(self.model, ref_end),
+                                                  self.surrogate)
+        assert np.array_equal(out.means, ref_protos.means)
+
+
 class TestRectifiedGradient:
     def closure(self, x, y):
         def fn(m):

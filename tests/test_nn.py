@@ -1,5 +1,5 @@
-"""Forward/backward correctness against independent oracles, the
-flatten/unflatten bijection, and the checkpoint format."""
+"""Forward/backward correctness against independent oracles, the flat
+parameter buffer (bijection and aliasing), and the checkpoint format."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +104,91 @@ class TestBackward:
             nn.backward(model, trace, np.zeros((2, 3)), dembed=np.zeros((2, 99)))
 
 
+def reference_backward(model, trace, dlogits, dembed=None):
+    """The gradient as separate per-layer arrays concatenated at the end,
+    the layout `backward` fills through views of one flat vector."""
+    clf_w, _ = model.classifier
+    grad_clf = ((trace.embeddings.T @ dlogits).ravel(), dlogits.sum(axis=0))
+    dh = dlogits @ clf_w.T
+    if dembed is not None:
+        dh = dh + dembed
+    parts = []
+    for i in range(len(model.extractor) - 1, -1, -1):
+        dz = dh * (trace.pre_acts[i] > 0)
+        prev = trace.inputs if i == 0 else trace.acts[i - 1]
+        parts = [(prev.T @ dz).ravel(), dz.sum(axis=0)] + parts
+        dh = dz @ model.extractor[i][0].T
+    return np.concatenate(parts + list(grad_clf))
+
+
+class TestFlatBackwardEquivalence:
+    @pytest.mark.parametrize("hidden", [(), (6,), (64, 32), (7, 5, 3)])
+    @pytest.mark.parametrize("rows", [1, 3, 32, 64])
+    @pytest.mark.parametrize("with_dembed", [False, True])
+    def test_bit_identical_to_concatenated_parts(self, hidden, rows, with_dembed):
+        model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
+        rng = np.random.default_rng(100 + rows)
+        trace = nn.forward(model, rng.standard_normal((rows, 16)))
+        dlogits = rng.standard_normal(trace.logits.shape)
+        dembed = rng.standard_normal(trace.embeddings.shape) if with_dembed else None
+        grad = nn.backward(model, trace, dlogits, dembed)
+        assert np.array_equal(grad, reference_backward(model, trace, dlogits, dembed))
+
+    def test_returns_a_fresh_vector(self):
+        model = tiny_model(seed=20)
+        trace = nn.forward(model, np.random.default_rng(21).standard_normal((4, 4)))
+        dlogits = np.ones_like(trace.logits)
+        first = nn.backward(model, trace, dlogits)
+        second = nn.backward(model, trace, dlogits)
+        assert first is not second and not np.shares_memory(first, model.theta)
+        first[:] = 0.0
+        assert np.array_equal(second, nn.backward(model, trace, dlogits))
+
+
+class TestFlatBuffer:
+    def test_layers_are_views_of_theta(self):
+        model = tiny_model(seed=22)
+        for w, b in model._layers():
+            assert np.shares_memory(w, model.theta) and np.shares_memory(b, model.theta)
+        assert model.theta.flags.c_contiguous and model.theta.dtype == np.float64
+
+    def test_in_place_update_of_theta_moves_the_model(self):
+        template = tiny_model(seed=23)
+        theta = nn.flatten(template)
+        model = nn.unflatten_like(template, theta)
+        x = np.random.default_rng(24).standard_normal((5, 4))
+        theta -= 0.25 * np.random.default_rng(25).standard_normal(theta.size)
+        fresh = nn.unflatten_like(template, theta.copy())
+        assert np.array_equal(nn.forward(model, x).logits, nn.forward(fresh, x).logits)
+        assert np.array_equal(model.extractor[0][1], theta[24:30])
+
+    def test_writing_a_layer_writes_theta(self):
+        model = tiny_model(seed=26)
+        model.classifier[1][:] = 7.0
+        assert np.array_equal(model.theta[-3:], [7.0, 7.0, 7.0])
+
+    def test_flatten_returns_a_copy(self):
+        model = tiny_model(seed=27)
+        before = model.theta.copy()
+        flat = nn.flatten(model)
+        flat[:] = 123.0
+        assert np.array_equal(model.theta, before)
+        assert np.array_equal(model.extractor[0][0].ravel(), before[:24])
+
+    def test_constructor_copies_the_given_layers(self):
+        w, b = np.eye(2), np.zeros(2)
+        model = nn.MlpModel(extractor=[], classifier=(w, b))
+        w[0, 0] = 5.0
+        assert model.classifier[0][0, 0] == 1.0
+
+    def test_non_contiguous_vector_is_copied(self):
+        template = tiny_model(seed=28)
+        wide = np.repeat(nn.flatten(template), 2)[::2]
+        model = nn.unflatten_like(template, wide)
+        assert not np.shares_memory(model.theta, wide)
+        assert np.array_equal(model.theta, nn.flatten(template))
+
+
 class TestFiniteDiffCheck:
     def test_exact_for_quadratic_up_to_roundoff(self):
         rng = np.random.default_rng(15)
@@ -146,6 +231,34 @@ class TestCheckpoint:
         loaded = nn.load_checkpoint(path)
         for (w1, b1), (w2, b2) in zip(model._layers(), loaded._layers()):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+    def test_layout_matches_per_layer_writer(self, tmp_path):
+        # header, then each layer's weights and bias as little-endian f64,
+        # written layer by layer as an independent reference
+        model = tiny_model(seed=17)
+        path = tmp_path / "model.bin"
+        nn.save_checkpoint(path, model)
+        layers = model._layers()
+        ref = b"FGPS" + (1).to_bytes(4, "little") + len(layers).to_bytes(4, "little")
+        for w, _ in layers:
+            ref += w.shape[0].to_bytes(4, "little") + w.shape[1].to_bytes(4, "little")
+        for w, b in layers:
+            ref += w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+        assert path.read_bytes() == ref
+
+    def test_loaded_model_owns_a_writable_buffer(self, tmp_path):
+        path = tmp_path / "model.bin"
+        nn.save_checkpoint(path, tiny_model(seed=18))
+        loaded = nn.load_checkpoint(path)
+        loaded.theta += 1.0
+        assert np.shares_memory(loaded.classifier[0], loaded.theta)
+
+    def test_truncated_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        nn.save_checkpoint(path, tiny_model(seed=19))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(nn.ShapeError):
+            nn.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
