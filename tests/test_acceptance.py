@@ -6,11 +6,14 @@ Run with `pytest -s tests/test_acceptance.py` to see every line.
 The desk-scale robustness comparison (criterion 8) runs FedAvg, FedProx,
 and the full synergy method over five heterogeneity seeds; criterion 9
 consumes the same accuracy table, so the runs are shared via a module
-fixture.
+fixture, which spreads its 15 independent runs over the machine's cores.
 """
 import dataclasses
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -159,6 +162,11 @@ def test_criterion_7_non_self_exclusion():
 SCENARIOS = (0, 1, 2, 3, 4)
 
 
+def _desk_final(unit):
+    cfg, scenario_seed = unit
+    return runner.run_one(cfg, scenario_seed, 0, write_artifacts=False).final_acc
+
+
 @pytest.fixture(scope="module")
 def desk_comparison(tmp_path_factory):
     """Five-scenario desk benchmark shared by criteria 8 and 9.
@@ -177,17 +185,18 @@ def desk_comparison(tmp_path_factory):
         num_clients=10, sample_rate=0.5, rounds=150, local_epochs=1,
         alpha=0.1, scenario_seeds=SCENARIOS, training_seeds=(0,),
         eval_cadence=1, out_dir=str(out))
-    finals = {}
-    tic = time.perf_counter()
-    for algo, extra in {
+    configs = {algo: dataclasses.replace(base, algo=algo, **extra) for algo, extra in {
         "fedavg": {},
         "fedprox": {},
         "fedgps": dict(lambda_g=0.2, nsg_sign=-1.0),
-    }.items():
-        cfg = dataclasses.replace(base, algo=algo, **extra)
-        finals[algo] = np.array([
-            runner.run_one(cfg, ss, 0, write_artifacts=False).final_acc
-            for ss in SCENARIOS])
+    }.items()}
+    units = [(cfg, ss) for cfg in configs.values() for ss in SCENARIOS]
+    tic = time.perf_counter()
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(units)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        accs = list(pool.map(_desk_final, units))
+    finals = {algo: np.array(accs[i * len(SCENARIOS):(i + 1) * len(SCENARIOS)])
+              for i, algo in enumerate(configs)}
     return finals, time.perf_counter() - tic
 
 

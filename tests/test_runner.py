@@ -1,6 +1,8 @@
 """Config handling, seed-stream isolation, run artifacts, determinism,
 and the command-line surface."""
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +222,21 @@ class TestSpecSurfaces:
                                       out_dir=str(tmp_path / "par")))
         for a, b in zip(seq, par):
             assert a.accuracy_series == b.accuracy_series
+
+    def test_worker_pool_same_finals_and_checkpoints(self, tmp_path):
+        # criterion 2's config, two scenarios: the pool must not move a bit
+        cfg = runner.ExperimentConfig(
+            num_classes=4, input_dim=6, n_per_class=60, separation=1.5, noise_std=0.8,
+            rounds=20, num_clients=4, sample_rate=1.0, alpha=0.5,
+            scenario_seeds=(0, 1), training_seeds=(0,), hidden=(16, 8),
+            surrogate_n_per_class=16, algo="fedgps")
+        out = {}
+        for workers in (1, 2):
+            results = runner.run(dataclasses.replace(
+                cfg, workers=workers, out_dir=str(tmp_path / f"w{workers}")))
+            out[workers] = [(r.final_acc, (Path(r.run_dir) / "checkpoint.bin").read_bytes())
+                            for r in results]
+        assert out[1] == out[2]
 
     def test_csv_dataset_end_to_end(self, tmp_path):
         rows = ["f0,f1,f2,label"]
