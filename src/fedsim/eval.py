@@ -4,6 +4,7 @@ statistics for robustness comparisons across heterogeneity scenarios.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,11 +97,27 @@ class RankMatrix:
     def ranks(self) -> np.ndarray:
         """Rank 1 = best accuracy per scenario; ties get averaged ranks,
         so every row sums to k(k+1)/2."""
-        from scipy import stats  # deferred: importing scipy costs about 1 s
-        return stats.rankdata(-self.accuracies, method="average", axis=1)
+        mine, other = self.accuracies[:, :, None], self.accuracies[:, None, :]
+        higher = (other > mine).sum(axis=2)
+        tied = (other == mine).sum(axis=2)
+        return 1.0 + higher + (tied - 1) / 2.0
 
     def average_ranks(self) -> np.ndarray:
         return self.ranks().mean(axis=0)
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function for an integer df >= 1, in closed form:
+    Q(x; 1) = erfc(sqrt(x/2)), Q(x; 2) = exp(-x/2), and
+    Q(x; v+2) = Q(x; v) + (x/2)^(v/2) exp(-x/2) / Gamma(v/2 + 1)."""
+    h = x / 2.0
+    if df % 2:
+        q, start = math.erfc(math.sqrt(h)), 1
+    else:
+        q, start = math.exp(-h), 2
+    for v in range(start, df, 2):
+        q += h ** (v / 2) * math.exp(-h) / math.gamma(v / 2 + 1)
+    return q
 
 
 def friedman_statistic(ranks: RankMatrix, alpha: float = 0.05) -> tuple[float, bool]:
@@ -108,18 +125,16 @@ def friedman_statistic(ranks: RankMatrix, alpha: float = 0.05) -> tuple[float, b
 
         chi2_F = 12N/(k(k+1)) * [sum_j Rbar_j^2 - k(k+1)^2/4]
 
-    compared against the chi-square critical value with k-1 degrees of
-    freedom. An all-tied matrix gives (0.0, False).
+    significant when its chi-square p-value with k-1 degrees of freedom
+    is below alpha. An all-tied matrix gives (0.0, False).
     """
-    from scipy import stats  # deferred: importing scipy costs about 1 s
     n, k = ranks.num_scenarios, ranks.num_algorithms
     if n < 2 or k < 2:
         raise ValueError("need at least 2 scenarios and 2 algorithms")
     avg = ranks.average_ranks()
     chi2 = 12.0 * n / (k * (k + 1)) * (float((avg ** 2).sum()) - k * (k + 1) ** 2 / 4.0)
     chi2 = max(chi2, 0.0)
-    critical = stats.chi2.ppf(1.0 - alpha, k - 1)
-    return chi2, bool(chi2 > critical)
+    return chi2, chi2_sf(chi2, k - 1) < alpha
 
 
 # Critical constants q_alpha(k) for the rank post-hoc test, derived from

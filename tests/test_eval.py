@@ -112,6 +112,8 @@ class TestRankMatrix:
         k = acc.shape[1]
         assert np.allclose(ranks.sum(axis=1), k * (k + 1) / 2)
         assert np.allclose(ranks, rank_rows_by_hand(rows))
+        oracle = sps.rankdata(-acc, method="average", axis=1)
+        assert ranks.dtype == oracle.dtype and ranks.tobytes() == oracle.tobytes()
 
 
 class TestFriedman:
@@ -142,6 +144,25 @@ class TestFriedman:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             ev.friedman_statistic(ev.RankMatrix(np.ones((1, 3)), list("abc")))
+
+    @pytest.mark.parametrize("df", range(1, 20))
+    def test_survival_function_against_scipy(self, df):
+        x = np.linspace(0.0, 100.0, 1001)
+        ours = [ev.chi2_sf(float(v), df) for v in x]
+        np.testing.assert_allclose(ours, sps.chi2.sf(x, df), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.10])
+    def test_flag_matches_scipy_critical_value(self, alpha):
+        rng = np.random.default_rng(0)
+        flags = []
+        for _ in range(300):
+            k, n = int(rng.integers(2, 7)), int(rng.integers(2, 11))
+            acc = rng.integers(0, 4, size=(n, k)).astype(float)
+            chi2, significant = ev.friedman_statistic(ev.RankMatrix(acc, list("abcdef")[:k]),
+                                                      alpha)
+            assert significant == bool(chi2 > sps.chi2.ppf(1.0 - alpha, k - 1))
+            flags.append(significant)
+        assert any(flags) and not all(flags)
 
 
 class TestNemenyi:

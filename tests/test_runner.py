@@ -2,6 +2,9 @@
 and the command-line surface."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -268,3 +271,25 @@ class TestSpecSurfaces:
                            labels_path=str(lab), rounds=2, hidden=(8, 4))
         result = runner.run_one(cfg, 0, 0, write_artifacts=False)
         assert not result.diverged
+
+
+def test_compare_never_imports_scipy(tmp_path):
+    """The rank statistics a sweep ends with run without scipy."""
+    script = f"""
+import sys
+from fedsim import runner
+cfg = runner.ExperimentConfig(
+    num_classes=4, input_dim=6, n_per_class=40, separation=2.0, noise_std=0.8,
+    rounds=2, num_clients=4, sample_rate=0.5, alpha=0.5, scenario_seeds=(0, 1),
+    hidden=(12, 6), surrogate_n_per_class=8, out_dir={str(tmp_path / "runs")!r})
+runner.compare(cfg, ["fedavg", "fedprox"])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = Path(runner.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != runner.ENV_OUTPUT_ROOT}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "runs" / "nemenyi.csv").exists()
