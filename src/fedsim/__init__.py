@@ -18,3 +18,12 @@ for _lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_open
         _set_threads = ctypes.CDLL(str(_lib)).scipy_openblas_set_num_threads64_
         _set_threads.argtypes, _set_threads.restype = [ctypes.c_int], None
         _set_threads(1)
+
+# glibc gives the freed top of the heap back to the kernel after every
+# forward of a few hundred rows, so the next one faults its pages in again:
+# keep up to 64 MB of freed heap and serve blocks under 32 MB from it.
+with suppress(OSError, AttributeError):
+    _mallopt = ctypes.CDLL("libc.so.6").mallopt
+    _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
