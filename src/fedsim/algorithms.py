@@ -113,11 +113,13 @@ def _ce_from_logits(logits: np.ndarray, labels: np.ndarray, split: int | None = 
     probs /= sums[:, None]
     probs[rows, labels] -= 1.0
     if split is None:
-        return float(np.mean(losses)), probs / len(labels)
+        return float(losses.sum()) / len(labels), probs / len(labels)
+    n_second = len(labels) - split
     probs[:split] /= split
-    probs[split:] /= len(labels) - split
+    probs[split:] /= n_second
     probs[split:] *= weight
-    return float(np.mean(losses[:split])) + weight * float(np.mean(losses[split:])), probs
+    return (float(losses[:split].sum()) / split
+            + weight * (float(losses[split:].sum()) / n_second)), probs
 
 
 def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
@@ -189,14 +191,14 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
             shared = np.flatnonzero((n_l > 0) & (n_s > 0))
             if len(shared) > 0:
                 diff = mu[shared] - nu[shared]
-                loss += hyper.lambda1 * float(np.mean((diff ** 2).sum(axis=1)))
+                loss += hyper.lambda1 * (float((diff ** 2).sum(axis=1).sum()) / len(shared))
                 g_mu[shared] = (2.0 * hyper.lambda1 / len(shared)) * diff
                 g_nu[shared] = -g_mu[shared]
 
         if hyper.lambda2 > 0 and global_prototypes is not None:
             present = np.flatnonzero(n_s > 0)
             diff = nu[present] - global_prototypes[present]
-            loss += hyper.lambda2 * float(np.mean((diff ** 2).sum(axis=1)))
+            loss += hyper.lambda2 * (float((diff ** 2).sum(axis=1).sum()) / len(present))
             g_nu[present] += (2.0 * hyper.lambda2 / len(present)) * diff
 
         dembed = np.concatenate([(g_mu / np.maximum(n_l, 1)[:, None])[y_local],

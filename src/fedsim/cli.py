@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nem = sub.add_parser("nemenyi", help="rank statistics over a sweep root")
     p_nem.add_argument("root", help="directory holding run subdirectories")
-    p_nem.add_argument("--alpha", type=float, default=0.05)
+    p_nem.add_argument("--alpha", type=float, default=0.05, choices=sorted(ev.NEMENYI_Q))
     p_nem.add_argument("--out", default=None)
     p_nem.set_defaults(fn=_cmd_nemenyi)
     return parser

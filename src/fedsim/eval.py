@@ -140,7 +140,7 @@ def friedman_statistic(ranks: RankMatrix, alpha: float = 0.05) -> tuple[float, b
 # Critical constants q_alpha(k) for the rank post-hoc test, derived from
 # the studentized range distribution at infinite degrees of freedom
 # (q_{alpha,inf,k} / sqrt(2)), k = 2..20.
-_NEMENYI_Q = {
+NEMENYI_Q = {
     0.05: [1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164,
            3.219, 3.268, 3.313, 3.354, 3.391, 3.426, 3.458, 3.489, 3.517, 3.544],
     0.10: [1.645, 2.052, 2.291, 2.459, 2.589, 2.693, 2.780, 2.855, 2.920,
@@ -151,13 +151,13 @@ _NEMENYI_Q = {
 def nemenyi_cd(k: int, n: int, alpha: float = 0.05) -> float:
     """Critical distance q_alpha(k) * sqrt(k(k+1)/(6N)) for average-rank
     differences; pairs further apart differ significantly."""
-    if alpha not in _NEMENYI_Q:
+    if alpha not in NEMENYI_Q:
         raise ValueError(f"no critical-constant table for alpha={alpha}")
     if not 2 <= k <= 20:
         raise ValueError("k must be in [2, 20] (table-backed)")
     if n < 2:
         raise ValueError("need at least 2 scenarios")
-    q = _NEMENYI_Q[alpha][k - 2]
+    q = NEMENYI_Q[alpha][k - 2]
     return q * float(np.sqrt(k * (k + 1) / (6.0 * n)))
 
 

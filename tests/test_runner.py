@@ -196,6 +196,14 @@ class TestCli:
         text = capsys.readouterr().out
         assert "friedman chi2=" in text and "critical distance=" in text
         assert (out / "nemenyi.csv").exists()
+        assert cli.main(["nemenyi", str(out), "--alpha", "0.1"]) == 0
+        assert "alpha=0.1" in capsys.readouterr().out
+        # the Nemenyi table holds only these two levels
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["nemenyi", str(out), "--alpha", "0.2"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_run_diverged_exit_code(self, tmp_path):
