@@ -19,9 +19,8 @@ for _lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_open
         _set_threads.argtypes, _set_threads.restype = [ctypes.c_int], None
         _set_threads(1)
 
-# glibc gives the freed top of the heap back to the kernel after every
-# forward of a few hundred rows, so the next one faults its pages in again:
-# keep up to 64 MB of freed heap and serve blocks under 32 MB from it.
+# glibc returns freed heap to the kernel after each forward of a few hundred
+# rows, and the next one faults it in again: keep it (a no-op off glibc).
 with suppress(OSError, AttributeError):
     _mallopt = ctypes.CDLL("libc.so.6").mallopt
     _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
