@@ -20,6 +20,7 @@ diagnostics in `fedsim.eval`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,35 +87,34 @@ class PrototypeSet:
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if (self.counts < 1).any():
-            raise ValueError("every class needs at least one sample")
+        missing = np.flatnonzero(self.counts < 1)
+        if len(missing) > 0:
+            raise ValueError(f"missing class {missing[0]}: every class needs a sample")
 
 
 def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> PrototypeSet:
     """Class-c prototype = mean extractor embedding over surrogate class c."""
     trace = forward(model, surrogate.features)
-    means, counts = _class_means(trace.embeddings, surrogate.labels, surrogate.num_classes)
-    missing = np.flatnonzero(counts == 0)
-    if len(missing) > 0:
-        raise ValueError(f"surrogate set is missing class {missing[0]}")
-    return PrototypeSet(means, counts)
+    return PrototypeSet(*_class_means(trace.embeddings, surrogate.labels, surrogate.num_classes))
 
 
 def _ce_from_logits(logits: np.ndarray, labels: np.ndarray, split: int | None = None,
                     weight: float = 1.0) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the logits. With `split`,
-    the rows from `split` on are a second batch, weighted by `weight`: one
-    softmax pass, then each batch's mean and its rows divided by its size."""
-    rows = np.arange(len(labels))
+    """Mean cross-entropy and its gradient w.r.t. the logits; row r's label entry
+    is read at flat index r * C + label. With `split`, the rows from `split` on are
+    a second batch, weighted by `weight`: one softmax pass, then per-batch means."""
+    n, num_classes = logits.shape
+    flat = np.arange(0, n * num_classes, num_classes) + labels
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     sums = probs.sum(axis=1)
-    losses = np.log(sums) - shifted[rows, labels]
+    losses = np.log(sums) - shifted.take(flat)
     probs /= sums[:, None]
-    probs[rows, labels] -= 1.0
+    probs.reshape(-1)[flat] -= 1.0
     if split is None:
-        return float(losses.sum()) / len(labels), probs / len(labels)
-    n_second = len(labels) - split
+        probs /= n
+        return float(losses.sum()) / n, probs
+    n_second = n - split
     probs[:split] /= split
     probs[split:] /= n_second
     probs[split:] *= weight
@@ -132,7 +132,7 @@ def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
         theta = model.theta
         loss += l2 * float(theta @ theta)
         grad += (2.0 * l2) * theta
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise DivergedError("non-finite cross-entropy loss")
     return loss, grad
 
@@ -178,38 +178,43 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
     dembed = None
 
     if hyper.lambda1 > 0 or hyper.lambda2 > 0:
-        # Each alignment term is a function of the class means, so its
-        # embedding gradient is a per-class row divided by the class count
-        # and handed to every sample of that class.
+        # Each alignment term is a function of the class means, so its embedding
+        # gradient is a per-class row divided by the class count and gathered by
+        # key: c for a local row of class c, C + c for a surrogate row. Row c of
+        # `diff` is mu_c - nu_c, row C + c is nu_c - p_c. Stage 1 writes only
+        # `where=` a class is shared, so every other gathered row keeps +0.0.
         num_classes = model.num_classes
-        mu, n_l = _class_means(trace.embeddings[:n_local], y_local, num_classes)
-        nu, n_s = _class_means(trace.embeddings[n_local:], y_surr, num_classes)
-        g_mu = np.zeros_like(mu)
-        g_nu = np.zeros_like(nu)
+        keys = np.concatenate([y_local, y_surr + num_classes])
+        means, counts = _class_means(trace.embeddings, keys, 2 * num_classes)
+        nu = means[num_classes:]
+        stage2 = hyper.lambda2 > 0 and global_prototypes is not None
+        diff = means - np.concatenate([nu, global_prototypes if stage2 else nu])
+        sq = (diff ** 2).sum(axis=1)
+        in_surr = counts[num_classes:] > 0
+        g = np.zeros(means.shape)
+        g_mu, g_nu = g[:num_classes], g[num_classes:]
 
         if hyper.lambda1 > 0:
-            shared = np.flatnonzero((n_l > 0) & (n_s > 0))
-            if len(shared) > 0:
-                diff = mu[shared] - nu[shared]
-                loss += hyper.lambda1 * (float((diff ** 2).sum(axis=1).sum()) / len(shared))
-                g_mu[shared] = (2.0 * hyper.lambda1 / len(shared)) * diff
-                g_nu[shared] = -g_mu[shared]
+            shared = (counts[:num_classes] > 0) & in_surr
+            n_shared = max(np.count_nonzero(shared), 1)  # none shared: the term adds 0.0
+            loss += hyper.lambda1 * (float(sq[:num_classes][shared].sum()) / n_shared)
+            np.multiply(2.0 * hyper.lambda1 / n_shared, diff[:num_classes], out=g_mu,
+                        where=shared[:, None])
+            np.negative(g_mu, out=g_nu, where=shared[:, None])
 
-        if hyper.lambda2 > 0 and global_prototypes is not None:
-            present = np.flatnonzero(n_s > 0)
-            diff = nu[present] - global_prototypes[present]
-            loss += hyper.lambda2 * (float((diff ** 2).sum(axis=1).sum()) / len(present))
-            g_nu[present] += (2.0 * hyper.lambda2 / len(present)) * diff
+        if stage2:
+            n_present = np.count_nonzero(in_surr)
+            loss += hyper.lambda2 * (float(sq[num_classes:][in_surr].sum()) / n_present)
+            g_nu += (2.0 * hyper.lambda2 / n_present) * diff[num_classes:]
 
-        dembed = np.concatenate([(g_mu / np.maximum(n_l, 1)[:, None])[y_local],
-                                 (g_nu / np.maximum(n_s, 1)[:, None])[y_surr]])
+        dembed = (g / np.maximum(counts, 1)[:, None]).take(keys, axis=0)
 
     grad = backward(model, trace, dlogits, dembed)
     if hyper.lambda3 != 0.0:
         theta = model.theta
         loss += hyper.lambda3 * float(theta @ theta)
         grad += (2.0 * hyper.lambda3) * theta
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise DivergedError("non-finite composite loss")
     return loss, grad
 
@@ -239,7 +244,7 @@ def rectified_gradient(model: MlpModel, nsg: np.ndarray | None, lambda_g: float,
         point, where = at or unflatten_like(model, np.empty_like(model.theta)), "rectified"
         np.add(model.theta, shift, out=point.theta)
     loss, grad = loss_and_grad(point)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise DivergedError(f"non-finite loss at {where} point")
     return grad
 
@@ -266,7 +271,7 @@ class _BatchCycler:
 def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
                dataset: LabeledDataset, hyper: FedGpsHyper, grad_fn, round_index: int,
                step_offset: np.ndarray | None = None) -> tuple[np.ndarray, MlpModel, int]:
-    """Momentum-SGD over the client's shuffled shard for E local epochs.
+    """Momentum-SGD for E local epochs, each over the shard gathered in a fresh shuffle.
 
     `grad_fn(model, xb, yb)` returns the flat gradient for one minibatch;
     every step updates `model.theta` in place. `step_offset`, when given,
@@ -275,20 +280,18 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
     naming the round and the client, without overflow warnings on the way.
     Caches the delta on the client and returns (delta, end model, steps).
     """
-    features = dataset.features[client.shard]
-    labels = dataset.labels[client.shard]
     model = unflatten_like(template, theta_start.copy())
     velocity = np.zeros_like(theta_start)
-    n = len(labels)
+    n = len(client.shard)
     bs = min(hyper.batch_size, n)
     steps = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(hyper.local_epochs):
-                order = client.data_rng.permutation(n)
+                rows = client.shard[client.data_rng.permutation(n)]
+                features, labels = dataset.features.take(rows, axis=0), dataset.labels.take(rows)
                 for start in range(0, n, bs):
-                    mb = order[start:start + bs]
-                    grad = grad_fn(model, features[mb], labels[mb])
+                    grad = grad_fn(model, features[start:start + bs], labels[start:start + bs])
                     velocity *= hyper.momentum
                     velocity += grad
                     if step_offset is None:
@@ -329,7 +332,7 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
         surr = None
         if cycler is not None:
             mb = cycler.next()
-            surr = (surrogate.features[mb], surrogate.labels[mb])
+            surr = (surrogate.features.take(mb, axis=0), surrogate.labels.take(mb))
 
         def closure(m):
             return fedgps_loss_and_grad(m, (xb, yb), surr, global_prototypes, hyper)
@@ -361,7 +364,7 @@ def fedprox_local_train(client: ClientState, template: MlpModel,
     def grad_fn(model, xb, yb):
         grad = ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
         if mu != 0.0:
-            grad = grad + mu * (model.theta - theta_global)
+            grad += mu * (model.theta - theta_global)
         return grad
 
     return _local_sgd(client, template, theta_global, dataset, hyper,

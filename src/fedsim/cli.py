@@ -14,8 +14,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import diag as dg
 from . import eval as ev
 from . import runner
@@ -63,7 +61,7 @@ def _cmd_diag(args) -> int:
         "quadratic-oracle": lambda: dg.quadratic_oracle_report(lambda_g=args.lambda_g),
         "triangle": lambda: dg.triangle_report(),
         "comm-audit": lambda: dg.comm_audit_report(
-            cases=[(args.M, args.C, args.embed_dim)] if args.M else None),
+            cases=[(args.M, args.C, args.embed_dim)] if args.M is not None else None),
     }
     report = suites[args.suite]()
     print(dg.format_report(args.suite, report))
@@ -86,25 +84,29 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_nemenyi(args) -> int:
-    by_algo = runner.scan_results(args.root)
-    scenarios = runner.results_to_scenarios(by_algo)
-    if len(by_algo) < 2 or len(scenarios) < 2:
-        print("need at least 2 algorithms and 2 scenarios", file=sys.stderr)
+    ranks, dropped = ev.rank_matrix(runner.results_to_scenarios(runner.scan_results(args.root)))
+    if dropped:
+        print(f"left out, not run by every algorithm: {' '.join(dropped)}", file=sys.stderr)
+    if ranks.num_algorithms < 2 or ranks.num_scenarios < 2:
+        print("need at least 2 algorithms and 2 scenarios that all of them ran", file=sys.stderr)
         return EXIT_CONFIG
-    algos = sorted(by_algo)
-    acc = np.array([[s.acc[a] for a in algos] for s in scenarios])
-    ranks = ev.RankMatrix(acc, algos)
     chi2, significant = ev.friedman_statistic(ranks, args.alpha)
     _, avg, cd = ev.nemenyi_pairwise(ranks, args.alpha)
     print(f"friedman chi2={chi2:.6f} significant={significant} "
           f"(alpha={args.alpha}, N={ranks.num_scenarios}, k={ranks.num_algorithms})")
     print(f"critical distance={cd:.6f}")
-    for name, rank in zip(algos, avg):
+    for name, rank in zip(ranks.algorithms, avg):
         print(f"  {name:<10} avg rank {rank:.3f}")
     out = Path(args.out or Path(args.root) / "nemenyi.csv")
     ev.write_nemenyi_csv(out, ranks, args.alpha)
     print(f"wrote {out}")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("suite", choices=["grad-check", "quadratic-oracle",
                                           "triangle", "comm-audit"])
     p_diag.add_argument("--lambda-g", dest="lambda_g", type=float, default=0.5)
-    p_diag.add_argument("--M", type=int, default=None, help="model size for comm-audit")
-    p_diag.add_argument("--C", type=int, default=10)
-    p_diag.add_argument("--embed-dim", dest="embed_dim", type=int, default=512)
+    p_diag.add_argument("--M", type=_positive_int, default=None, help="model size for comm-audit")
+    p_diag.add_argument("--C", type=_positive_int, default=10)
+    p_diag.add_argument("--embed-dim", dest="embed_dim", type=_positive_int, default=512)
     p_diag.set_defaults(fn=_cmd_diag)
 
     p_sum = sub.add_parser("summarize", help="aggregate round logs into a summary CSV")

@@ -256,6 +256,14 @@ def write_summary_csv(path, results: list[ScenarioResult]) -> None:
             writer.writerow(line)
 
 
+def rank_matrix(results: list[ScenarioResult]) -> tuple[RankMatrix, list[str]]:
+    """Accuracies over the scenarios every algorithm covers; the names of the others."""
+    algos = sorted({a for r in results for a in r.acc})
+    common = [r for r in results if len(r.acc) == len(algos)]
+    acc = np.array([[r.acc[a] for a in algos] for r in common]).reshape(len(common), len(algos))
+    return RankMatrix(acc, algos), [r.scenario for r in results if len(r.acc) < len(algos)]
+
+
 def write_nemenyi_csv(path, ranks: RankMatrix, alpha: float = 0.05) -> None:
     """Pairwise significance matrix with average ranks and the CD."""
     significant, avg, cd = nemenyi_pairwise(ranks, alpha)

@@ -22,10 +22,6 @@ class ShapeError(ValueError):
     """Raised when array dimensions do not match the model architecture."""
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 @dataclass
 class MlpModel:
     """Feature extractor (rectified dense layers) plus a linear classifier.
@@ -139,13 +135,15 @@ def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
     trace = ForwardTrace(inputs=batch)
     h = batch
     for w, b in model.extractor:
-        z = h @ w + b
-        h = relu(z)
+        z = h @ w
+        z += b
+        h = np.maximum(z, 0.0)
         trace.pre_acts.append(z)
         trace.acts.append(h)
     trace.embeddings = h
     clf_w, clf_b = model.classifier
-    trace.logits = h @ clf_w + clf_b
+    trace.logits = h @ clf_w
+    trace.logits += clf_b
     return trace
 
 
@@ -172,10 +170,11 @@ def backward(model: MlpModel, trace: ForwardTrace, dlogits: np.ndarray,
         if dembed.shape != trace.embeddings.shape:
             raise ShapeError(
                 f"dembed shape {dembed.shape} != embeddings {trace.embeddings.shape}")
-        dh = dh + dembed
+        dh += dembed
 
+    # dh is always a fresh product here, so it becomes dz in place.
     for i in range(len(model.extractor) - 1, -1, -1):
-        dz = dh * (trace.pre_acts[i] > 0)
+        dz = np.multiply(dh, trace.pre_acts[i] > 0, out=dh)
         prev = trace.inputs if i == 0 else trace.acts[i - 1]
         np.matmul(prev.T, dz, out=views[i][0])
         dz.sum(axis=0, out=views[i][1])

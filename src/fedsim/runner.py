@@ -500,10 +500,8 @@ def _write_sweep_summary(config: ExperimentConfig, results_by_algo) -> None:
     root.mkdir(parents=True, exist_ok=True)
     scenarios = results_to_scenarios(results_by_algo)
     ev.write_summary_csv(root / "summary.csv", scenarios)
-    if len(results_by_algo) >= 2 and len(scenarios) >= 2:
-        algos = sorted(results_by_algo)
-        acc = np.array([[s.acc[a] for a in algos] for s in scenarios])
-        ranks = ev.RankMatrix(acc, algos)
+    ranks, _ = ev.rank_matrix(scenarios)
+    if ranks.num_algorithms >= 2 and ranks.num_scenarios >= 2:
         ev.write_nemenyi_csv(root / "nemenyi.csv", ranks)
 
 

@@ -1,6 +1,7 @@
 """Local training procedures: the composite objective, path
 rectification, prototype computation, and the baselines."""
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,18 +158,78 @@ def reference_composite(model, local_batch, surrogate_batch, global_prototypes, 
     return loss + hyper.lambda3 * float(theta @ theta), grad + (2.0 * hyper.lambda3) * theta
 
 
-def assert_composite_matches_loop(seed, hyper, n_local=9, n_surr=11,
-                                  local_classes=(0, 1, 2, 3), surr_classes=(0, 1, 2, 3),
-                                  with_protos=True):
+def reference_two_pass_composite(model, local_batch, surrogate_batch, global_prototypes,
+                                 hyper, backward=nn.backward):
+    """The composite objective with one `_class_means` call per batch, index
+    sets from `flatnonzero`, two alignment-gradient arrays and the embedding
+    gradient concatenated from two gathers: the form the joint pass replaced."""
+    (x_local, y_local), (x_surr, y_surr) = local_batch, surrogate_batch
+    if hyper.surrogate_ce == 0.0 and hyper.lambda1 == 0.0 and hyper.lambda2 == 0.0:
+        return alg.ce_loss_and_grad(model, x_local, y_local, hyper.lambda3)
+    n_local, num_classes = len(y_local), model.num_classes
+    trace = nn.forward(model, np.concatenate([x_local, x_surr]))
+    loss, dlogits = alg._ce_from_logits(trace.logits, np.concatenate([y_local, y_surr]),
+                                        n_local, hyper.surrogate_ce)
+    dembed = None
+    if hyper.lambda1 > 0 or hyper.lambda2 > 0:
+        mu, n_l = alg._class_means(trace.embeddings[:n_local], y_local, num_classes)
+        nu, n_s = alg._class_means(trace.embeddings[n_local:], y_surr, num_classes)
+        g_mu, g_nu = np.zeros_like(mu), np.zeros_like(nu)
+        if hyper.lambda1 > 0:
+            shared = np.flatnonzero((n_l > 0) & (n_s > 0))
+            if len(shared) > 0:
+                diff = mu[shared] - nu[shared]
+                loss += hyper.lambda1 * (float((diff ** 2).sum(axis=1).sum()) / len(shared))
+                g_mu[shared] = (2.0 * hyper.lambda1 / len(shared)) * diff
+                g_nu[shared] = -g_mu[shared]
+        if hyper.lambda2 > 0 and global_prototypes is not None:
+            present = np.flatnonzero(n_s > 0)
+            diff = nu[present] - global_prototypes[present]
+            loss += hyper.lambda2 * (float((diff ** 2).sum(axis=1).sum()) / len(present))
+            g_nu[present] += (2.0 * hyper.lambda2 / len(present)) * diff
+        dembed = np.concatenate([(g_mu / np.maximum(n_l, 1)[:, None])[y_local],
+                                 (g_nu / np.maximum(n_s, 1)[:, None])[y_surr]])
+    grad = backward(model, trace, dlogits, dembed)
+    theta = model.theta
+    return loss + hyper.lambda3 * float(theta @ theta), grad + (2.0 * hyper.lambda3) * theta
+
+
+def assert_same_bits(a, b):
+    """Equal shape, dtype and bytes: signed zeros and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def composite_case(seed, n_local=9, n_surr=11, local_classes=(0, 1, 2, 3),
+                   surr_classes=(0, 1, 2, 3), with_protos=True):
     model = tiny_model(seed=seed, hidden=(6, 5), classes=4)
     rng = np.random.default_rng(seed + 1)
     local = (rng.standard_normal((n_local, 4)), rng.choice(local_classes, n_local))
     surr = (rng.standard_normal((n_surr, 4)), rng.choice(surr_classes, n_surr))
     protos = rng.standard_normal((4, model.embed_dim)) if with_protos else None
-    loss, grad = alg.fedgps_loss_and_grad(model, local, surr, protos, hyper)
+    return model, local, surr, protos
+
+
+def assert_composite_matches_loop(seed, hyper, *args, **kwargs):
+    model, local, surr, protos = composite_case(seed, *args, **kwargs)
     ref_loss, ref_grad = reference_composite(model, local, surr, protos, hyper)
+    dembeds = []  # the embedding gradient each form hands to backward
+
+    def spy(m, trace, dlogits, dembed=None):
+        dembeds.append(dembed)
+        return nn.backward(m, trace, dlogits, dembed)
+
+    with mock.patch.object(alg, "backward", spy):
+        loss, grad = alg.fedgps_loss_and_grad(model, local, surr, protos, hyper)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+    two_loss, two_grad = reference_two_pass_composite(model, local, surr, protos, hyper,
+                                                      backward=spy)
+    assert loss == two_loss
+    assert_same_bits(grad, two_grad)
+    if hyper.lambda1 > 0 or hyper.lambda2 > 0:
+        assert_same_bits(*dembeds)
 
 
 class TestVectorisedEquivalence:
@@ -204,6 +265,36 @@ class TestVectorisedEquivalence:
         hyper = alg.FedGpsHyper(lambda1=0.5, lambda2=0.25)
         assert_composite_matches_loop(52, hyper, n_local, n_surr, local_classes, surr_classes)
 
+    @pytest.mark.parametrize("n_local,n_surr", [(1, 1), (3, 32), (9, 11), (32, 32), (64, 640)])
+    @pytest.mark.parametrize("classes", ["all", "disjoint", "one_shared"])
+    def test_joint_class_means_match_two_calls(self, n_local, n_surr, classes):
+        # a surrogate row of class c keyed C + c: the zero one-hot entries of
+        # the other batch leave each class sum bit for bit unchanged
+        rng = np.random.default_rng(n_local + n_surr)
+        local_cls, surr_cls = {"all": ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),
+                               "disjoint": ([0, 1], [2, 3, 4]),
+                               "one_shared": ([0, 3], [3, 4])}[classes]
+        emb = np.maximum(rng.standard_normal((n_local + n_surr, 32)), 0.0)
+        y_local, y_surr = rng.choice(local_cls, n_local), rng.choice(surr_cls, n_surr)
+        means, counts = alg._class_means(emb, np.concatenate([y_local, y_surr + 5]), 10)
+        mu, n_l = alg._class_means(emb[:n_local], y_local, 5)
+        nu, n_s = alg._class_means(emb[n_local:], y_surr, 5)
+        assert_same_bits(means, np.concatenate([mu, nu]))
+        assert_same_bits(counts, np.concatenate([n_l, n_s]))
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(0.3, 0.0), (0.0, 0.4), (0.3, 0.4)])
+    @pytest.mark.parametrize("local_classes,surr_classes", [
+        ([0, 1], [1, 2, 3]),   # class 0 absent from the surrogate batch, 2 and 3 from the local
+        ([0, 1], [2, 3]),      # nothing shared
+        ([2], [2]),            # one class on both sides, three absent on both
+    ])
+    @pytest.mark.parametrize("with_protos", [True, False])
+    def test_absent_classes_bit_for_bit(self, lambda1, lambda2, local_classes, surr_classes,
+                                        with_protos):
+        hyper = alg.FedGpsHyper(lambda1=lambda1, lambda2=lambda2)
+        assert_composite_matches_loop(53, hyper, 8, 8, local_classes, surr_classes,
+                                      with_protos=with_protos)
+
     def test_prototypes_match_loop(self):
         model = tiny_model(seed=56, classes=3)
         rng = np.random.default_rng(57)
@@ -227,9 +318,44 @@ def reference_ce(logits, labels):
     return loss, probs / n
 
 
+def reference_ce_fancy(logits, labels, split=None, weight=1.0):
+    """`_ce_from_logits` with 2-D fancy indexing [rows, labels], as written
+    before the flat row * C + label indices."""
+    rows = np.arange(len(labels))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    sums = probs.sum(axis=1)
+    losses = np.log(sums) - shifted[rows, labels]
+    probs /= sums[:, None]
+    probs[rows, labels] -= 1.0
+    if split is None:
+        return float(losses.sum()) / len(labels), probs / len(labels)
+    n_second = len(labels) - split
+    probs[:split] /= split
+    probs[split:] /= n_second
+    probs[split:] *= weight
+    return (float(losses[:split].sum()) / split
+            + weight * (float(losses[split:].sum()) / n_second)), probs
+
+
 class TestJointCrossEntropy:
     """One softmax pass over the local and surrogate rows against the two
     `_ce_from_logits` calls it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("n,split", [(1, None), (3, None), (32, None), (64, None),
+                                         (35, 3), (64, 32), (20, 9), (2, 1)])
+    @pytest.mark.parametrize("weight", [0.0, 0.5, 1.0, 3.0])
+    def test_flat_index_matches_fancy_index(self, n, split, weight):
+        rng = np.random.default_rng(n + 7)
+        logits = 4.0 * rng.standard_normal((n, 10))
+        logits[0, :3] = 0.0  # a tied row maximum
+        labels = rng.integers(0, 10, n)
+        before = logits.copy()
+        loss, dlogits = alg._ce_from_logits(logits, labels, split, weight)
+        ref_loss, ref_dlogits = reference_ce_fancy(logits, labels, split, weight)
+        assert loss == ref_loss
+        assert_same_bits(dlogits, ref_dlogits)
+        assert_same_bits(logits, before)
 
     @pytest.mark.parametrize("n", [1, 3, 32, 64])
     def test_ce_from_logits_matches_reference(self, n):
@@ -291,8 +417,9 @@ class TestHoistedShift:
 
 def reference_local_train(client, template, theta_start, dataset, hyper, grad_fn,
                           step_offset=None):
-    """The local-SGD loop before the flat buffer: a model rebuilt from a
-    copy of theta at every step, and out-of-place updates. Returns the
+    """The local-SGD loop before the flat buffer and the per-epoch gather: a
+    model rebuilt from a copy of theta at every step, each minibatch
+    fancy-indexed out of the shard, and out-of-place updates. Returns the
     delta and the end point."""
     features, labels = dataset.features[client.shard], dataset.labels[client.shard]
     theta, velocity = theta_start.copy(), np.zeros_like(theta_start)
@@ -322,8 +449,18 @@ class TestInPlaceDriver:
         self.hyper = alg.FedGpsHyper(local_epochs=2, batch_size=8, lambda_g=0.2,
                                      nsg_sign=-1.0, prox_mu=0.5)
 
+        self.shard = np.arange(45)  # 5 full batches of 8 and a short one of 5
+
     def client(self):
-        return make_client(np.arange(45), seed=73)
+        return make_client(self.shard, seed=73)
+
+    @pytest.mark.parametrize("shard", ["scattered", "shorter_than_batch"])
+    def test_every_trainer_on_shard_shapes(self, shard):
+        rng = np.random.default_rng(77)
+        self.shard = {"scattered": rng.permutation(90)[:45],
+                      "shorter_than_batch": rng.permutation(90)[:5]}[shard]
+        self.test_fedavg_fedprox_scaffold()
+        self.test_fedgps(with_nsg=True)
 
     def ce_grad(self, m, x, y):
         return alg.ce_loss_and_grad(m, x, y, self.hyper.lambda3)[1]
@@ -346,8 +483,10 @@ class TestInPlaceDriver:
         ref, ref_end = reference_local_train(self.client(), self.model, theta, self.ds, hyper,
                                              self.ce_grad, step_offset=c_server - c_client)
         assert np.array_equal(delta, ref)
+        steps = hyper.local_epochs * -(-len(self.shard) // min(hyper.batch_size,
+                                                              len(self.shard)))
         assert np.array_equal(control, c_client - c_server
-                              + (theta - ref_end) / (12 * hyper.eta_l))
+                              + (theta - ref_end) / (steps * hyper.eta_l))
 
     @pytest.mark.parametrize("with_nsg", [True, False])
     def test_fedgps(self, with_nsg):

@@ -104,6 +104,43 @@ class TestBackward:
             nn.backward(model, trace, np.zeros((2, 3)), dembed=np.zeros((2, 99)))
 
 
+def reference_forward(model, x):
+    """Every layer out of place: a fresh array for each product and sum."""
+    pre_acts, acts, h = [], [], x
+    for w, b in model.extractor:
+        pre_acts.append(h @ w + b)
+        h = np.maximum(pre_acts[-1], 0.0)
+        acts.append(h)
+    return pre_acts, acts, h @ model.classifier[0] + model.classifier[1]
+
+
+class TestInPlaceLayers:
+    @pytest.mark.parametrize("hidden", [(), (6,), (64, 32)])
+    @pytest.mark.parametrize("rows", [1, 3, 64, 640])
+    def test_forward_bit_identical_to_out_of_place(self, hidden, rows):
+        model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
+        x = np.random.default_rng(200 + rows).standard_normal((rows, 16))
+        trace = nn.forward(model, x)
+        pre_acts, acts, logits = reference_forward(model, x)
+        for got, want in zip(trace.pre_acts + trace.acts + [trace.logits],
+                             pre_acts + acts + [logits]):
+            assert got.tobytes() == want.tobytes()
+        assert len(trace.pre_acts) == len(pre_acts)
+
+    @pytest.mark.parametrize("with_dembed", [False, True])
+    def test_backward_leaves_its_inputs_unchanged(self, with_dembed):
+        model = nn.init_mlp(16, (64, 32), 10, np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        trace = nn.forward(model, rng.standard_normal((64, 16)))
+        dlogits = rng.standard_normal(trace.logits.shape)
+        dembed = rng.standard_normal(trace.embeddings.shape) if with_dembed else None
+        arrays = [trace.inputs, *trace.pre_acts, *trace.acts, trace.embeddings,
+                  trace.logits, dlogits, model.theta] + ([dembed] if with_dembed else [])
+        before = [a.tobytes() for a in arrays]
+        nn.backward(model, trace, dlogits, dembed)
+        assert [a.tobytes() for a in arrays] == before
+
+
 def reference_backward(model, trace, dlogits, dembed=None):
     """The gradient as separate per-layer arrays concatenated at the end,
     the layout `backward` fills through views of one flat vector."""

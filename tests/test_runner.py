@@ -205,6 +205,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert "usage:" in err and "invalid choice" in err
 
+    def test_nemenyi_keeps_scenarios_every_algorithm_ran(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        for algo, seeds in (("fedavg", (0, 1, 2)), ("fedprox", (0, 1))):
+            runner.run(small_config(tmp_path, algo=algo, scenario_seeds=seeds,
+                                    out_dir=str(out)))
+        capsys.readouterr()
+        assert cli.main(["nemenyi", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "scenario2" in captured.err and "scenario0" not in captured.err
+        assert "N=2, k=2" in captured.out
+        # two algorithms sharing one scenario is too few to rank
+        lone = tmp_path / "lone"
+        for algo, seeds in (("fedavg", (0, 1)), ("fedprox", (0,))):
+            runner.run(small_config(tmp_path, algo=algo, scenario_seeds=seeds,
+                                    out_dir=str(lone)))
+        capsys.readouterr()
+        assert cli.main(["nemenyi", str(lone)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "scenario1" in err and "need at least 2" in err
+        assert not (lone / "nemenyi.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--M", "0"), ("--M", "-5"), ("--C", "0"),
+                                            ("--embed-dim", "-1"), ("--M", "many")])
+    def test_diag_comm_audit_rejects_non_positive_sizes(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["diag", "comm-audit", flag, value])
+        assert exc.value.code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err and "Traceback" not in err
+
+    def test_diag_comm_audit_custom_case_only(self, capsys):
+        assert cli.main(["diag", "comm-audit", "--M", "1", "--C", "1",
+                         "--embed-dim", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 6 and all("M=1 " in row for row in rows)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_run_diverged_exit_code(self, tmp_path):
         code = cli.main(["run", "--rounds", "2", "--num-clients", "2",
