@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import MlpModel, backward, forward, unflatten_like
+from .nn import MlpModel, backward, embed, forward, unflatten_like
 from .protocol import ClientState, apply_global_delta, mean_delta
 
 
@@ -94,8 +94,8 @@ class PrototypeSet:
 
 def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> PrototypeSet:
     """Class-c prototype = mean extractor embedding over surrogate class c."""
-    trace = forward(model, surrogate.features)
-    return PrototypeSet(*_class_means(trace.embeddings, surrogate.labels, surrogate.num_classes))
+    return PrototypeSet(*_class_means(embed(model, surrogate.features), surrogate.labels,
+                                      surrogate.num_classes))
 
 
 def _ce_from_logits(logits: np.ndarray, labels: np.ndarray, split: int | None = None,
@@ -278,7 +278,7 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
     is added to every step's displacement after momentum smoothing
     (control-variate style). A `DivergedError` from a step is raised again
     naming the round and the client, without overflow warnings on the way.
-    Caches the delta on the client and returns (delta, end model, steps).
+    Returns (delta, end model, steps); the client keeps no copy of the delta.
     """
     model = unflatten_like(template, theta_start.copy())
     velocity = np.zeros_like(theta_start)
@@ -301,8 +301,7 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
                     steps += 1
     except DivergedError as err:
         raise DivergedError(str(err), round_index, client.id) from None
-    client.last_delta = model.theta - theta_start
-    return client.last_delta, model, steps
+    return model.theta - theta_start, model, steps
 
 
 def fedgps_local_train(client: ClientState, template: MlpModel,
@@ -316,7 +315,7 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     once and re-applied at every iteration; with rectification and all
     surrogate terms disabled this trajectory is bit-identical to FedAvg's.
     Returns the parameter delta and fresh local prototypes over the full
-    surrogate set, and caches the delta on the client.
+    surrogate set.
     """
     if nsg is not None and hyper.nsg_sign == -1.0:
         nsg = -nsg

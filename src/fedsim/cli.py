@@ -56,12 +56,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    cases = None  # the built-in comm-audit cases
+    if args.M is not None:
+        cases = [(args.M, args.C or 10, args.embed_dim or 512)]
+    elif args.C is not None or args.embed_dim is not None:
+        args.error("--C and --embed-dim need --M: they size its comm-audit case")
     suites = {
         "grad-check": lambda: dg.grad_check_report(),
         "quadratic-oracle": lambda: dg.quadratic_oracle_report(lambda_g=args.lambda_g),
         "triangle": lambda: dg.triangle_report(),
-        "comm-audit": lambda: dg.comm_audit_report(
-            cases=[(args.M, args.C, args.embed_dim)] if args.M is not None else None),
+        "comm-audit": lambda: dg.comm_audit_report(cases=cases),
     }
     report = suites[args.suite]()
     print(dg.format_report(args.suite, report))
@@ -123,9 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
                                           "triangle", "comm-audit"])
     p_diag.add_argument("--lambda-g", dest="lambda_g", type=float, default=0.5)
     p_diag.add_argument("--M", type=_positive_int, default=None, help="model size for comm-audit")
-    p_diag.add_argument("--C", type=_positive_int, default=10)
-    p_diag.add_argument("--embed-dim", dest="embed_dim", type=_positive_int, default=512)
-    p_diag.set_defaults(fn=_cmd_diag)
+    p_diag.add_argument("--C", type=_positive_int, default=None,
+                        help="classes for comm-audit (with --M; default 10)")
+    p_diag.add_argument("--embed-dim", dest="embed_dim", type=_positive_int, default=None,
+                        help="embedding width for comm-audit (with --M; default 512)")
+    p_diag.set_defaults(fn=_cmd_diag, error=p_diag.error)
 
     p_sum = sub.add_parser("summarize", help="aggregate round logs into a summary CSV")
     p_sum.add_argument("root", help="directory holding run subdirectories")

@@ -88,7 +88,8 @@ class SurrogateSpec:
             raise DataError("class_std must be >= 0")
         if self.n_per_class < 1:
             raise DataError("n_per_class must be >= 1")
-        if len(np.unique(self.class_means, axis=0)) != self.num_classes:
+        rows = self.class_means
+        if any((rows[c + 1:] == rows[c]).all(axis=1).any() for c in range(len(rows))):
             raise DataError("class means must be pairwise distinct")
 
 
@@ -202,8 +203,8 @@ class Partition:
 
     def validate(self, n: int) -> None:
         """Check pairwise disjointness, full coverage of 0..n-1, no empties."""
-        seen = np.concatenate(self.shards) if self.shards else np.array([], dtype=np.int64)
-        if len(seen) != n or len(np.unique(seen)) != n:
+        seen = np.sort(np.concatenate(self.shards) if self.shards else np.array([], np.int64))
+        if len(seen) != n or (seen[1:] == seen[:-1]).any():
             raise PartitionError("shards must disjointly cover the dataset")
         if seen.min() < 0 or seen.max() >= n:
             raise PartitionError("shard indices out of range")
@@ -239,7 +240,9 @@ def dirichlet_partition(labels, num_clients: int, alpha: float, seed: int,
     if num_clients < 2:
         raise ValueError("need at least 2 clients")
     labels = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(labels)
+    if (labels < 0).any():
+        raise ValueError("labels must be >= 0")
+    classes = np.flatnonzero(np.bincount(labels))  # ascending, as np.unique gives them
     rng = np.random.default_rng(seed)
     for _ in range(max_retries):
         shards = [[] for _ in range(num_clients)]

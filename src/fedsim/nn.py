@@ -122,16 +122,21 @@ def unflatten_like(template: MlpModel, vec: np.ndarray) -> MlpModel:
                     activation=template.activation, theta=vec)
 
 
+def _as_batch(model: MlpModel, batch) -> np.ndarray:
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != model.input_dim:
+        raise ShapeError(
+            f"batch must be (n, {model.input_dim}), got {batch.shape}")
+    return batch
+
+
 def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
     """Run a batch through the network, caching every intermediate.
 
     The feature space is the extractor's final activation (the input
     itself when the extractor is empty); `trace.embeddings` holds it.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"batch must be (n, {model.input_dim}), got {batch.shape}")
+    batch = _as_batch(model, batch)
     trace = ForwardTrace(inputs=batch)
     h = batch
     for w, b in model.extractor:
@@ -145,6 +150,19 @@ def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
     trace.logits = h @ clf_w
     trace.logits += clf_b
     return trace
+
+
+def embed(model: MlpModel, batch: np.ndarray) -> np.ndarray:
+    """The extractor's output for a batch, bit-identical to
+    `forward(model, batch).embeddings` but keeping no trace: each layer's
+    rectifier runs in place, so only one activation per layer is made. For
+    forwards that need no `backward` (evaluation, prototypes, monitors)."""
+    h = _as_batch(model, batch)
+    for w, b in model.extractor:
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+    return h
 
 
 def backward(model: MlpModel, trace: ForwardTrace, dlogits: np.ndarray,

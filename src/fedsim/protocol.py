@@ -57,7 +57,6 @@ class ClientState:
     shard: np.ndarray
     data_rng: np.random.Generator
     surrogate_rng: np.random.Generator
-    last_delta: np.ndarray | None = None
 
     def __post_init__(self):
         self.shard = np.asarray(self.shard, dtype=np.int64)

@@ -15,7 +15,6 @@ import json
 import os
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -224,9 +223,11 @@ def build_partition(config: ExperimentConfig, labels, scenario_seed: int) -> dat
 
 def accuracy(template: nn.MlpModel, theta: np.ndarray, dataset: dat.LabeledDataset) -> float:
     model = nn.unflatten_like(template, theta)
+    clf_w, clf_b = model.classifier
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is DivergedError's to report
-        trace = nn.forward(model, dataset.features)
-    return float(np.mean(trace.logits.argmax(axis=1) == dataset.labels))
+        logits = nn.embed(model, dataset.features) @ clf_w
+        logits += clf_b
+    return float(np.mean(logits.argmax(axis=1) == dataset.labels))
 
 
 @dataclass
@@ -250,33 +251,31 @@ class RunResult:
         return out
 
 
-def _triangle_fields(template, server, selected, client_end_params, uploads,
+def _triangle_fields(template, server, selected, theta_start, deltas, uploads,
                      train, partition, probe: dat.LabeledDataset) -> dict:
     """Empirical transport-bound monitor: checks whether the global
     features' distance to the global prototypes is covered by the two
-    alignment stages plus the measured extractor discrepancy. `uploads`
-    holds the prototype sets the clients uploaded this round."""
+    alignment stages plus the measured extractor discrepancy. Client k
+    ended the round at `theta_start + deltas[k]`; `uploads` holds the
+    prototype sets the clients uploaded this round."""
     global_model = nn.unflatten_like(template, server.global_params)
-    probe_trace = nn.forward(global_model, probe.features)
-    g_means, g_counts = alg._class_means(probe_trace.embeddings, probe.labels,
-                                         probe.num_classes)
+    g_means, g_counts = alg._class_means(nn.embed(global_model, probe.features),
+                                         probe.labels, probe.num_classes)
     proto_counts = np.ones(probe.num_classes, dtype=np.int64)
     lhs = ev.class_mean_distance(g_means, g_counts, server.global_prototypes, proto_counts)
 
     eps1, eps2, kappas = [], [], []
     for k in selected:
-        local_model = nn.unflatten_like(template, client_end_params[k])
+        local_model = nn.unflatten_like(template, theta_start + deltas[k])
         shard = partition.shards[k]
-        local_trace = nn.forward(local_model, train.features[shard])
-        l_means, l_counts = alg._class_means(local_trace.embeddings,
+        l_means, l_counts = alg._class_means(nn.embed(local_model, train.features[shard]),
                                              train.labels[shard], train.num_classes)
         protos = uploads[k]
         eps1.append(ev.class_mean_distance(l_means, l_counts, protos.means, protos.counts))
         eps2.append(ev.class_mean_distance(protos.means, protos.counts,
                                            server.global_prototypes, proto_counts))
-        k_trace = nn.forward(local_model, probe.features)
-        k_means, k_counts = alg._class_means(k_trace.embeddings, probe.labels,
-                                             probe.num_classes)
+        k_means, k_counts = alg._class_means(nn.embed(local_model, probe.features),
+                                             probe.labels, probe.num_classes)
         kappas.append(ev.class_mean_distance(k_means, k_counts, g_means, g_counts))
     rhs = max(eps1) + max(eps2) + max(kappas)
     return {"triangle_lhs": lhs, "triangle_rhs": rhs,
@@ -287,7 +286,9 @@ def _non_self_gradient(config: ExperimentConfig, server: proto.ServerState,
                        client: proto.ClientState) -> np.ndarray | None:
     """The non-self gradient `client` trains against this round, or None
     while there is none: `fedgps` builds it on the server from the other
-    clients' last deltas, `fedgps_cf` from the last global change."""
+    clients' last deltas, `fedgps_cf` from the last global change less the
+    client's own last delta, which `server.prev_deltas` holds while the
+    client was among the last round's participants."""
     if config.algo == "fedgps":
         if any(j != client.id for j in server.prev_selected):
             return proto.non_self_gradient(server, client.id, config.eta_g, config.eta_l)
@@ -296,10 +297,10 @@ def _non_self_gradient(config: ExperimentConfig, server: proto.ServerState,
         return None
     was_selected = client.id in server.prev_selected
     own = None
-    if was_selected and client.last_delta is not None:
+    if was_selected:
         # remove this client's contribution to the applied global change:
         # eta_g * Delta_k / |S_{t-1}|
-        own = config.eta_g * client.last_delta / len(server.prev_selected)
+        own = config.eta_g * server.prev_deltas[client.id] / len(server.prev_selected)
     return proto.non_self_gradient_cf(server.prev_global_delta, own, was_selected)
 
 
@@ -324,20 +325,17 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     server = proto.ServerState(
         global_params=theta0.copy(), eta_g=config.eta_g,
         global_prototypes=np.zeros((train.num_classes, template.embed_dim)))
-    clients = [
-        proto.ClientState(
-            id=k, shard=partition.shards[k],
-            data_rng=stream(training_seed, "client-data", k),
-            surrogate_rng=stream(training_seed, "client-surrogate", k))
-        for k in range(config.num_clients)
-    ]
+    # Per-client state starts at a client's first selection, so memory
+    # follows the clients sampled so far, not all K: its streams are keyed
+    # by client id and so begin the same whenever they are made.
+    clients: dict[int, proto.ClientState] = {}
+    client_controls: dict[int, np.ndarray] = {}  # scaffold's c_k, zeros at first
     selection_rng = stream(training_seed, "selection")
     hyper = config.hyper()
     probe = test.subset(np.arange(min(256, len(test))))
 
     velocity = np.zeros_like(theta0)  # fedavgm server momentum
     server_control = np.zeros_like(theta0)  # scaffold
-    client_controls = {k: np.zeros_like(theta0) for k in range(config.num_clients)}
     meter = proto.CommMeter()
     min_sel = 2 if config.algo in RECTIFIED else 1
 
@@ -355,6 +353,13 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         control_updates = {}
         try:
             for k in selected:
+                if k not in clients:
+                    clients[k] = proto.ClientState(
+                        id=k, shard=partition.shards[k],
+                        data_rng=stream(training_seed, "client-data", k),
+                        surrogate_rng=stream(training_seed, "client-surrogate", k))
+                    if config.algo == "scaffold":
+                        client_controls[k] = np.zeros_like(theta0)
                 client = clients[k]
                 if config.algo in RECTIFIED:
                     deltas[k], protos = alg.fedgps_local_train(
@@ -377,7 +382,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
             diverged = True
             break
 
-        client_end = {k: server.global_params + deltas[k] for k in selected}
+        theta_start = server.global_params  # aggregation binds a new vector, keeping this
         if config.algo == "fedavgm":
             velocity = alg.fedavgm_server_update(server, deltas, velocity,
                                                  beta=config.fedavgm_beta)
@@ -405,7 +410,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
             record["divergence"] = float(np.mean(
                 [ev.prototype_divergence(proto_uploads[k].means, server.global_prototypes)
                  for k in selected]))
-            record.update(_triangle_fields(template, server, selected, client_end,
+            record.update(_triangle_fields(template, server, selected, theta_start, deltas,
                                            proto_uploads, train, partition, probe))
         record["wallclock_ms"] = (time.perf_counter() - tic) * 1000.0
         records.append(record)
@@ -461,6 +466,7 @@ def run(config: ExperimentConfig) -> list[RunResult]:
     units = [(asdict(config), ss, ts)
              for ss in config.scenario_seeds for ts in config.training_seeds]
     if config.workers > 1 and len(units) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 2 MB of imports a serial run skips
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_run_unit, units))
     else:

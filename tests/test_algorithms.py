@@ -697,7 +697,7 @@ class TestBaselines:
 
 
 class TestFedGpsLocalTrain:
-    def test_caches_delta_and_returns_prototypes(self):
+    def test_returns_delta_and_prototypes(self):
         ds = dat.gen_blobs(2, 4, 20, 2.0, 0.5, seed=31)
         surrogate = dat.gen_surrogate(dat.make_surrogate_spec(2, 4, seed=32, n_per_class=6))
         model = tiny_model(seed=33)
@@ -707,7 +707,7 @@ class TestFedGpsLocalTrain:
                                                None, ds, surrogate,
                                                np.zeros((2, model.embed_dim)),
                                                hyper, round_index=4)
-        assert np.array_equal(client.last_delta, delta)
+        assert delta.shape == (model.num_params,)
         assert protos.means.shape == (2, model.embed_dim)
 
     def test_nsg_sign_flip_changes_trajectory(self):

@@ -140,6 +140,47 @@ class TestDirichletPartition:
         part = dat.dirichlet_partition(labels, num_clients, alpha, seed)
         part.validate(len(labels))  # raises on violation
 
+    def test_negative_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels must be >= 0"):
+            dat.dirichlet_partition(np.array([0, -1, 1, 1]), 2, 1.0, seed=0)
+
+    def test_absent_classes_skipped(self):
+        labels = np.repeat([1, 3, 4], 30)
+        part = dat.dirichlet_partition(labels, 3, 1.0, seed=5)
+        part.validate(len(labels))
+
+
+def unique_validate(shards, n):
+    """`Partition.validate` as first written, over `np.unique`."""
+    seen = np.concatenate(shards)
+    if len(seen) != n or len(np.unique(seen)) != n:
+        return "shards must disjointly cover the dataset"
+    if seen.min() < 0 or seen.max() >= n:
+        return "shard indices out of range"
+    if any(len(s) == 0 for s in shards):
+        return "empty shard"
+    return None
+
+
+class TestPartitionValidate:
+    @pytest.mark.parametrize("shards", [
+        [[0, 2], [1, 3]],     # valid
+        [[0, 1], [2]],        # too few indices
+        [[0, 1], [1, 2]],     # duplicate
+        [[0, 1], [2, 4]],     # out of range above
+        [[0, -1], [2, 3]],    # out of range below
+        [[0, 4], [4, 2]],     # duplicate and out of range
+        [[0, 1, 2, 3], []],   # empty shard
+    ])
+    def test_same_verdict_as_unique_reference(self, shards):
+        part = dat.Partition(shards)
+        want = unique_validate(part.shards, 4)
+        if want is None:
+            part.validate(4)
+        else:
+            with pytest.raises(dat.PartitionError, match=want):
+                part.validate(4)
+
 
 class TestCnPartition:
     def test_full_class_count_is_even_iid_split(self):
@@ -193,6 +234,11 @@ class TestSurrogate:
         means = np.zeros((2, 3))
         with pytest.raises(dat.DataError):
             dat.SurrogateSpec(2, 3, means, 1.0, 4, 0)
+        means = np.arange(12.0).reshape(4, 3)
+        dat.SurrogateSpec(4, 3, means, 1.0, 4, 0)
+        means[3] = means[1]
+        with pytest.raises(dat.DataError, match="pairwise distinct"):
+            dat.SurrogateSpec(4, 3, means, 1.0, 4, 0)
 
 
 class TestSplitsAndExport:

@@ -127,6 +127,18 @@ class TestInPlaceLayers:
             assert got.tobytes() == want.tobytes()
         assert len(trace.pre_acts) == len(pre_acts)
 
+    @pytest.mark.parametrize("hidden", [(), (6,), (64, 32)])
+    @pytest.mark.parametrize("rows", [1, 3, 64, 640])
+    def test_embed_bit_identical_to_forward(self, hidden, rows):
+        # the trace-free inference path rectifies in place
+        model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
+        x = np.random.default_rng(300 + rows).standard_normal((rows, 16))
+        before = x.tobytes()
+        assert nn.embed(model, x).tobytes() == nn.forward(model, x).embeddings.tobytes()
+        assert x.tobytes() == before
+        with pytest.raises(nn.ShapeError):
+            nn.embed(model, x[:, :15])
+
     @pytest.mark.parametrize("with_dembed", [False, True])
     def test_backward_leaves_its_inputs_unchanged(self, with_dembed):
         model = nn.init_mlp(16, (64, 32), 10, np.random.default_rng(30))

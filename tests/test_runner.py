@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "usage:" in err and flag in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--C", "7"], ["--embed-dim", "3"],
+                                       ["--C", "7", "--embed-dim", "3"]])
+    def test_diag_comm_audit_sizes_need_model_size(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["diag", "comm-audit", *flags])
+        assert exc.value.code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and "need --M" in captured.err
+        assert captured.out == ""
+
+    def test_diag_comm_audit_sizes_default_with_model_size(self, capsys):
+        assert cli.main(["diag", "comm-audit", "--M", "5", "--C", "7"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 6 and all("C=7 " in row and "d=512 " in row for row in rows)
+
     def test_diag_comm_audit_custom_case_only(self, capsys):
         assert cli.main(["diag", "comm-audit", "--M", "1", "--C", "1",
                          "--embed-dim", "1"]) == 0
@@ -318,16 +334,19 @@ class TestSpecSurfaces:
 
 
 def test_compare_never_imports_scipy(tmp_path):
-    """The rank statistics a sweep ends with run without scipy."""
+    """The rank statistics a sweep ends with run without scipy, and a serial
+    sweep loads neither the worker pool nor numpy's masked arrays."""
     script = f"""
-import sys
+import json, sys
 from fedsim import runner
 cfg = runner.ExperimentConfig(
     num_classes=4, input_dim=6, n_per_class=40, separation=2.0, noise_std=0.8,
     rounds=2, num_clients=4, sample_rate=0.5, alpha=0.5, scenario_seeds=(0, 1),
-    hidden=(12, 6), surrogate_n_per_class=8, out_dir={str(tmp_path / "runs")!r})
+    hidden=(12, 6), surrogate_n_per_class=8, workers=1, out_dir={str(tmp_path / "runs")!r})
 runner.compare(cfg, ["fedavg", "fedprox"])
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m in ("numpy.ma", "multiprocessing",
+                                                        "concurrent.futures.process"))))
 """
     src = Path(runner.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != runner.ENV_OUTPUT_ROOT}
@@ -335,5 +354,42 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scipy_modules, heavy_modules = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert scipy_modules == []
+    assert heavy_modules == []
     assert (tmp_path / "runs" / "nemenyi.csv").exists()
+
+
+@pytest.mark.parametrize("algo", ["fedavg", "fedgps_cf"])
+def test_peak_memory_does_not_grow_with_idle_clients(tmp_path, algo):
+    """Per-client state is held only for clients a round samples: ten times
+    the clients at the same clients per round and rounds adds far less than
+    one parameter vector per added client to the run's peak allocation."""
+    def peak(num_clients):
+        cfg = small_config(tmp_path, algo=algo, input_dim=16, n_per_class=100,
+                           hidden=(64, 32), num_clients=num_clients,
+                           sample_rate=4 / num_clients, partition_kind="cn",
+                           classes_per_client=1)
+        tracemalloc.start()
+        try:
+            runner.run_one(cfg, 0, 0, write_artifacts=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # first-call allocations (lazy imports, caches) stay out of the comparison
+    growth = (peak(200) - peak(20)) / 180
+    vector_bytes = 8 * nn.init_mlp(16, (64, 32), 4, np.random.default_rng(0)).num_params
+    assert growth < vector_bytes / 4
+
+
+def test_accuracy_matches_forward_logits(tmp_path):
+    """The trace-free evaluation gives the reference forward's accuracy, bit for bit."""
+    ds = runner.build_dataset(small_config(tmp_path, n_per_class=200))
+    for seed in range(3):
+        template = nn.init_mlp(ds.input_dim, (12, 6), ds.num_classes,
+                               np.random.default_rng(seed))
+        theta = 3.0 * np.random.default_rng(10 + seed).standard_normal(template.num_params)
+        logits = nn.forward(nn.unflatten_like(template, theta), ds.features).logits
+        want = float(np.mean(logits.argmax(axis=1) == ds.labels))
+        assert runner.accuracy(template, theta, ds) == want
