@@ -31,7 +31,7 @@ print(f"client 99 (not selected last round) gets the full mean, "
 # change between consecutive global models; with the client's aggregate
 # contribution removed the two constructions are antiparallel
 contribution = server.eta_g * deltas[i] / len(selected)
-cf = proto.non_self_gradient_cf(server.prev_global_delta, contribution, True)
+cf = proto.non_self_gradient_cf(server.prev_global_delta, contribution)
 cos = (nsg @ cf) / (np.linalg.norm(nsg) * np.linalg.norm(cf))
 print(f"cosine(server-side, comm-friendly) = {cos:+.6f}  "
       f"(the definitions differ by a leading sign)")

@@ -15,8 +15,7 @@ synergy method adds two mechanisms on top of plain momentum SGD:
 
 The alignment distance is the mean over classes of the squared Euclidean
 distance between class-conditional mean embeddings, which keeps the
-gradient exact; order-statistic transport distances are reserved for
-diagnostics in `fedsim.eval`.
+gradient exact.
 """
 from __future__ import annotations
 
@@ -67,14 +66,28 @@ class FedGpsHyper:
     prox_mu: float = 0.125
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.lambda3, self.lambda_g) < 0:
-            raise ValueError("lambda weights must be >= 0")
-        if self.eta_l <= 0:
-            raise ValueError("eta_l must be > 0")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            raise ValueError("local_epochs and batch_size must be >= 1")
-        if self.nsg_sign not in (1.0, -1.0, 1, -1):
-            raise ValueError("nsg_sign must be +1 or -1")
+        problems = hyper_problems(self)
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @property
+    def uses_surrogate(self) -> bool:
+        """Whether any surrogate term (its cross-entropy, lambda1, lambda2) is on."""
+        return self.surrogate_ce != 0.0 or self.lambda1 != 0.0 or self.lambda2 != 0.0
+
+
+def hyper_problems(h) -> list[str]:
+    """The rules on the `FedGpsHyper` fields that `h`, a hyper or a config, breaks."""
+    problems = []
+    if min(h.lambda1, h.lambda2, h.lambda3, h.lambda_g) < 0:
+        problems.append("lambda weights must be >= 0")
+    if h.eta_l <= 0:
+        problems.append("eta_l must be > 0")
+    if h.local_epochs < 1 or h.batch_size < 1:
+        problems.append("local_epochs and batch_size must be >= 1")
+    if h.nsg_sign not in (1.0, -1.0, 1, -1):
+        problems.append("nsg_sign must be +1 or -1")
+    return problems
 
 
 @dataclass
@@ -164,10 +177,7 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
     operation, to `ce_loss_and_grad` on the local batch.
     """
     x_local, y_local = local_batch
-    surrogate_off = (surrogate_batch is None or
-                     (hyper.surrogate_ce == 0.0 and hyper.lambda1 == 0.0
-                      and hyper.lambda2 == 0.0))
-    if surrogate_off:
+    if surrogate_batch is None or not hyper.uses_surrogate:
         return ce_loss_and_grad(model, x_local, y_local, hyper.lambda3)
 
     x_surr, y_surr = surrogate_batch
@@ -249,23 +259,13 @@ def rectified_gradient(model: MlpModel, nsg: np.ndarray | None, lambda_g: float,
     return grad
 
 
-class _BatchCycler:
-    """Endless minibatch stream over n items, reshuffled per pass."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self._order = rng.permutation(n)
-        self._pos = 0
-
-    def next(self) -> np.ndarray:
-        if self._pos + self.batch_size > self.n:
-            self._order = self.rng.permutation(self.n)
-            self._pos = 0
-        batch = self._order[self._pos:self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return batch
+def _batch_cycler(n: int, batch_size: int, rng: np.random.Generator):
+    """Endless minibatch stream over n items: per pass, full batches of a fresh permutation."""
+    batch_size = min(batch_size, n)
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n - batch_size + 1, batch_size):
+            yield order[start:start + batch_size]
 
 
 def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
@@ -323,14 +323,13 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     at = None if shift is None else MlpModel(  # scratch model for theta + shift
         template.extractor, template.classifier, theta=np.empty(template.num_params))
 
-    cycler = None
-    if hyper.surrogate_ce != 0.0 or hyper.lambda1 != 0.0 or hyper.lambda2 != 0.0:
-        cycler = _BatchCycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
+    cycler = (_batch_cycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
+              if hyper.uses_surrogate else None)
 
     def grad_fn(model, xb, yb):
         surr = None
         if cycler is not None:
-            mb = cycler.next()
+            mb = next(cycler)
             surr = (surrogate.features.take(mb, axis=0), surrogate.labels.take(mb))
 
         def closure(m):
@@ -343,15 +342,17 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     return delta, compute_local_prototypes(model_end, surrogate)
 
 
+def _ce_grad(hyper: FedGpsHyper):
+    """A step's gradient of local cross-entropy plus L2, for `_local_sgd`."""
+    return lambda model, xb, yb: ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
+
+
 def fedavg_local_train(client: ClientState, template: MlpModel,
                        theta_global: np.ndarray, dataset: LabeledDataset,
                        hyper: FedGpsHyper, round_index: int = 0) -> np.ndarray:
     """Plain momentum SGD on local cross-entropy (plus L2)."""
-    def grad_fn(model, xb, yb):
-        return ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
-
     return _local_sgd(client, template, theta_global, dataset, hyper,
-                      grad_fn, round_index)[0]
+                      _ce_grad(hyper), round_index)[0]
 
 
 def fedprox_local_train(client: ClientState, template: MlpModel,
@@ -383,11 +384,8 @@ def scaffold_local_train(client: ClientState, template: MlpModel,
     Afterwards the client control becomes
     c_k - c + (theta_global - theta_end) / (steps * eta_l).
     """
-    def grad_fn(model, xb, yb):
-        return ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
-
     delta, model_end, steps = _local_sgd(client, template, theta_global, dataset, hyper,
-                                         grad_fn, round_index,
+                                         _ce_grad(hyper), round_index,
                                          step_offset=server_control - client_control)
     new_control = client_control - server_control + \
         (theta_global - model_end.theta) / (steps * hyper.eta_l)

@@ -102,6 +102,15 @@ def make_surrogate_spec(num_classes: int, input_dim: int, seed: int,
     return SurrogateSpec(num_classes, input_dim, means, class_std, n_per_class, seed)
 
 
+def _gaussian_classes(centers: np.ndarray, std: float, n_per_class: int,
+                      rng: np.random.Generator) -> LabeledDataset:
+    """n_per_class points center_c + std * N(0, I) per class, drawn class by class."""
+    feats = [center + std * rng.standard_normal((n_per_class, len(center)))
+             for center in centers]
+    return LabeledDataset(np.vstack(feats), np.repeat(np.arange(len(centers)), n_per_class),
+                          len(centers))
+
+
 def gen_surrogate(spec: SurrogateSpec) -> LabeledDataset:
     """Sample n_per_class points per class around its center.
 
@@ -109,14 +118,8 @@ def gen_surrogate(spec: SurrogateSpec) -> LabeledDataset:
     generator, so "every client holds the same surrogate set" is realized
     by sharing the one generated instance.
     """
-    rng = np.random.default_rng(spec.seed)
-    feats = []
-    labels = []
-    for c in range(spec.num_classes):
-        noise = rng.standard_normal((spec.n_per_class, spec.input_dim))
-        feats.append(spec.class_means[c] + spec.class_std * noise)
-        labels.append(np.full(spec.n_per_class, c, dtype=np.int64))
-    return LabeledDataset(np.vstack(feats), np.concatenate(labels), spec.num_classes)
+    return _gaussian_classes(spec.class_means, spec.class_std, spec.n_per_class,
+                             np.random.default_rng(spec.seed))
 
 
 def gen_blobs(num_classes: int, input_dim: int, n_per_class: int,
@@ -132,13 +135,7 @@ def gen_blobs(num_classes: int, input_dim: int, n_per_class: int,
         raise DataError("noise_std must be >= 0")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, input_dim)) * separation
-    feats = []
-    labels = []
-    for c in range(num_classes):
-        noise = rng.standard_normal((n_per_class, input_dim))
-        feats.append(centers[c] + noise_std * noise)
-        labels.append(np.full(n_per_class, c, dtype=np.int64))
-    return LabeledDataset(np.vstack(feats), np.concatenate(labels), num_classes)
+    return _gaussian_classes(centers, noise_std, n_per_class, rng)
 
 
 def _read_idx_header(fh, path, expected_magic, n_dims):
@@ -203,10 +200,12 @@ class Partition:
 
     def validate(self, n: int) -> None:
         """Check pairwise disjointness, full coverage of 0..n-1, no empties."""
-        seen = np.sort(np.concatenate(self.shards) if self.shards else np.array([], np.int64))
+        if not self.shards:
+            raise PartitionError("partition has no shards")
+        seen = np.sort(np.concatenate(self.shards))
         if len(seen) != n or (seen[1:] == seen[:-1]).any():
             raise PartitionError("shards must disjointly cover the dataset")
-        if seen.min() < 0 or seen.max() >= n:
+        if seen.size and (seen[0] < 0 or seen[-1] >= n):
             raise PartitionError("shard indices out of range")
         if any(len(s) == 0 for s in self.shards):
             raise PartitionError("empty shard")

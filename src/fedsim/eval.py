@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import PrototypeSet
-
 
 def round_to_target(accuracy_series, target: float) -> int | None:
     """First round index whose accuracy reaches `target`, else None."""
@@ -29,35 +27,10 @@ def speedup(baseline_round: int | None, algo_round: int | None) -> float | None:
     return baseline_round / algo_round
 
 
-def w1_empirical_1d(a, b) -> float:
-    """Exact 1-D order-statistic transport distance between two samples.
-
-    For equal sample counts this is the mean absolute difference of order
-    statistics, which is the exact 1-Wasserstein distance between the two
-    empirical measures. Unequal counts are first resampled onto a common
-    midpoint-quantile grid of the larger size (an approximation, noted
-    here because this function is a diagnostic, not a training loss).
-    """
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("empty sample")
-    if len(a) != len(b):
-        m = max(len(a), len(b))
-        grid = (np.arange(m) + 0.5) / m
-        a = np.quantile(a, grid)
-        b = np.quantile(b, grid)
-    return float(np.mean(np.abs(a - b)))
-
-
-def _proto_means(p) -> np.ndarray:
-    return p.means if isinstance(p, PrototypeSet) else np.asarray(p, dtype=np.float64)
-
-
 def prototype_divergence(local, global_) -> float:
     """Mean over classes of the L2 distance between class prototypes."""
-    a = _proto_means(local)
-    b = _proto_means(global_)
+    a = np.asarray(local, dtype=np.float64)
+    b = np.asarray(global_, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"prototype shapes differ: {a.shape} vs {b.shape}")
     return float(np.mean(np.linalg.norm(a - b, axis=1)))

@@ -36,12 +36,9 @@ class MlpModel:
 
     extractor: list[tuple[np.ndarray, np.ndarray]]
     classifier: tuple[np.ndarray, np.ndarray]
-    activation: str = "relu"
     theta: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
         if self.extractor and self.extractor[-1][0].shape[1] != self.classifier[0].shape[0]:
             raise ShapeError("extractor output width must equal classifier input width")
         size = sum(w.size + b.size for w, b in self._layers())
@@ -118,8 +115,7 @@ def flatten(model: MlpModel) -> np.ndarray:
 def unflatten_like(template: MlpModel, vec: np.ndarray) -> MlpModel:
     """A model with the template's shapes over `vec`: later writes into
     `vec` move it (a `vec` that is not contiguous float64 is copied)."""
-    return MlpModel(extractor=template.extractor, classifier=template.classifier,
-                    activation=template.activation, theta=vec)
+    return MlpModel(extractor=template.extractor, classifier=template.classifier, theta=vec)
 
 
 def _as_batch(model: MlpModel, batch) -> np.ndarray:

@@ -34,19 +34,10 @@ class ServerState:
     prev_deltas: dict[int, np.ndarray] = field(default_factory=dict)
     prev_global_delta: np.ndarray | None = None
     global_prototypes: np.ndarray | None = None
-    pending_prototypes: dict[int, np.ndarray] = field(default_factory=dict)
 
     def check_invariants(self) -> None:
         if set(self.prev_deltas) != set(self.prev_selected):
             raise ProtocolError("prev_deltas keys must equal prev_selected")
-        if self.prev_global_delta is not None and self.prev_deltas:
-            total = np.zeros_like(self.global_params)
-            for k in sorted(self.prev_deltas):
-                total += self.prev_deltas[k]
-            expected = self.eta_g * (total / len(self.prev_deltas))
-            if not np.array_equal(expected, self.prev_global_delta):
-                raise ProtocolError(
-                    "prev_global_delta != eta_g * mean(prev_deltas)")
 
 
 @dataclass
@@ -58,30 +49,21 @@ class ClientState:
     data_rng: np.random.Generator
     surrogate_rng: np.random.Generator
 
-    def __post_init__(self):
-        self.shard = np.asarray(self.shard, dtype=np.int64)
-
 
 @dataclass
 class CommMeter:
-    """Per-round download/upload volume in abstract parameter units.
+    """Download/upload volume summed over rounds, in abstract parameter units.
 
     One model is M units and one prototype matrix is C*embed_dim units;
     a bytes view multiplies by 8 (float64).
     """
 
-    rounds: list[tuple[float, float]] = field(default_factory=list)
+    total_down: float = 0.0
+    total_up: float = 0.0
 
     def record(self, down: float, up: float) -> None:
-        self.rounds.append((float(down), float(up)))
-
-    @property
-    def total_down(self) -> float:
-        return float(sum(d for d, _ in self.rounds))
-
-    @property
-    def total_up(self) -> float:
-        return float(sum(u for _, u in self.rounds))
+        self.total_down += float(down)
+        self.total_up += float(up)
 
 
 def sample_clients(num_clients: int, rate: float, rng: np.random.Generator,
@@ -150,48 +132,39 @@ def non_self_gradient(server: ServerState, client_id: int, eta_g: float,
 
 
 def non_self_gradient_cf(global_delta: np.ndarray,
-                         own_last_delta: np.ndarray | None,
-                         selected_last_round: bool) -> np.ndarray:
+                         own_contribution: np.ndarray | None) -> np.ndarray:
     """Communication-friendly client-side variant built from the change
     between two consecutive global models.
 
-    Returns global_delta minus the client's own contribution if it took
-    part last round, else global_delta as-is. Note the sign convention
-    differs from `non_self_gradient` (no leading minus); with two
-    participants the two variants are antiparallel.
+    Returns global_delta minus the client's own contribution to it, or
+    global_delta as-is when that is None (the client sat out the last
+    round). Note the sign convention differs from `non_self_gradient` (no
+    leading minus); with two participants the two variants are antiparallel.
     """
-    if selected_last_round:
-        if own_last_delta is None:
-            raise ProtocolError(
-                "client marked as selected last round but has no cached delta")
-        return global_delta - own_last_delta
-    return global_delta.copy()
+    if own_contribution is None:
+        return global_delta.copy()
+    return global_delta - own_contribution
 
 
 def upload_prototypes(server: ServerState, client_id: int,
-                      prototypes: np.ndarray) -> None:
-    """Stage one client's prototype matrix for the next aggregation."""
+                      prototypes: np.ndarray) -> np.ndarray:
+    """One client's prototype matrix, checked against the global shape."""
     prototypes = np.asarray(prototypes, dtype=np.float64)
     if server.global_prototypes is not None and \
             prototypes.shape != server.global_prototypes.shape:
         raise ProtocolError(f"prototype upload from client {client_id} has shape "
                             f"{prototypes.shape}, expected "
                             f"{server.global_prototypes.shape}")
-    server.pending_prototypes[client_id] = prototypes
+    return prototypes
 
 
-def aggregate_prototypes(server: ServerState,
-                         uploads: dict[int, np.ndarray] | None = None,
+def aggregate_prototypes(server: ServerState, uploads: dict[int, np.ndarray],
                          mode: str = "mean") -> np.ndarray:
     """Combine uploaded prototype matrices element-wise in client-id order.
 
-    Consumes the staged `upload_prototypes` material when `uploads` is not
-    given. `mode="mean"` is the default; `"sum"` preserves the
-    unnormalized variant, whose magnitude grows with the number of
-    uploaders.
+    `mode="mean"` is the default; `"sum"` preserves the unnormalized
+    variant, whose magnitude grows with the number of uploaders.
     """
-    if uploads is None:
-        uploads, server.pending_prototypes = server.pending_prototypes, {}
     if not uploads:
         raise ProtocolError("no prototype uploads")
     order = sorted(uploads)

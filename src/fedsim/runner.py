@@ -15,7 +15,7 @@ import json
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,12 +89,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def hyper(self) -> alg.FedGpsHyper:
-        return alg.FedGpsHyper(
-            lambda1=self.lambda1, lambda2=self.lambda2, lambda3=self.lambda3,
-            lambda_g=self.lambda_g, eta_l=self.eta_l, momentum=self.momentum,
-            local_epochs=self.local_epochs, batch_size=self.batch_size,
-            surrogate_ce=self.surrogate_ce, nsg_sign=self.nsg_sign,
-            prox_mu=self.prox_mu)
+        return alg.FedGpsHyper(**{f.name: getattr(self, f.name) for f in fields(alg.FedGpsHyper)})
 
     def validate(self) -> None:
         problems = []
@@ -121,8 +116,7 @@ class ExperimentConfig:
             problems.append("rounds must be >= 1")
         if self.eval_cadence < 1 or self.divergence_cadence < 1:
             problems.append("cadences must be >= 1")
-        if self.local_epochs < 1 or self.batch_size < 1:
-            problems.append("local_epochs and batch_size must be >= 1")
+        problems += alg.hyper_problems(self)
         if self.partition_kind not in ("dirichlet", "cn"):
             problems.append(f"partition_kind must be dirichlet/cn, got {self.partition_kind!r}")
         if self.partition_kind == "dirichlet" and self.alpha <= 0:
@@ -135,12 +129,6 @@ class ExperimentConfig:
             problems.append(f"algo must be one of {ALGORITHMS}, got {self.algo!r}")
         if self.algo in RECTIFIED and round(self.sample_rate * self.num_clients) < 2:
             problems.append("path rectification needs at least 2 sampled clients per round")
-        if min(self.lambda1, self.lambda2, self.lambda3, self.lambda_g) < 0:
-            problems.append("lambda weights must be >= 0")
-        if self.eta_l <= 0:
-            problems.append("eta_l must be > 0")
-        if self.nsg_sign not in (1.0, -1.0, 1, -1):
-            problems.append("nsg_sign must be +1 or -1")
         if self.prototype_agg not in ("mean", "sum"):
             problems.append("prototype_agg must be mean or sum")
         if self.surrogate_n_per_class < 1:
@@ -155,21 +143,21 @@ class ExperimentConfig:
             raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
 
 
-_LIST_FIELDS = {"scenario_seeds", "training_seeds", "hidden"}
-
-
 def _parse_value(name: str, raw: str, target_type):
-    if name in _LIST_FIELDS:
-        return tuple(int(v) for v in raw.replace(",", " ").split())
-    if target_type is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    return target_type(raw)
+    """A flag or INI value as its field's type; tuples of integers split at commas or spaces."""
+    try:
+        if target_type is tuple:
+            return tuple(int(v) for v in raw.replace(",", " ").split())
+        return target_type(raw)
+    except ValueError:
+        kind = "integers" if target_type is tuple else target_type.__name__
+        raise ConfigError(f"cannot parse {name} = {raw!r} as {kind}") from None
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Build a config from an INI-style file plus overrides (flags win)."""
     cfg = ExperimentConfig()
-    fields = {f.name: type(getattr(cfg, f.name)) for f in cfg.__dataclass_fields__.values()}
+    types = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
     values = {}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -178,16 +166,16 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                if key not in fields:
+                if key not in types:
                     raise ConfigError(f"unknown config key: [{section}] {key}")
-                values[key] = _parse_value(key, raw, fields[key])
+                values[key] = _parse_value(key, raw, types[key])
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in fields:
+        if key not in types:
             raise ConfigError(f"unknown config key: {key}")
         if isinstance(val, str):
-            val = _parse_value(key, val, fields[key])
+            val = _parse_value(key, val, types[key])
         values[key] = val
     cfg = replace(cfg, **values)
     cfg.validate()
@@ -236,10 +224,16 @@ class RunResult:
     scenario_seed: int
     training_seed: int
     accuracy_series: list
-    best_acc: float
-    final_acc: float
     run_dir: str
     diverged: bool = False
+
+    @property
+    def best_acc(self) -> float:
+        return max((a for a in self.accuracy_series if a is not None), default=0.0)
+
+    @property
+    def final_acc(self) -> float:
+        return next((a for a in reversed(self.accuracy_series) if a is not None), 0.0)
 
     def dense_series(self) -> list[float]:
         """Accuracy series with off-cadence gaps carried forward."""
@@ -257,7 +251,7 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads,
     features' distance to the global prototypes is covered by the two
     alignment stages plus the measured extractor discrepancy. Client k
     ended the round at `theta_start + deltas[k]`; `uploads` holds the
-    prototype sets the clients uploaded this round."""
+    clients' prototype matrices, over the full surrogate set: no class absent."""
     global_model = nn.unflatten_like(template, server.global_params)
     g_means, g_counts = alg._class_means(nn.embed(global_model, probe.features),
                                          probe.labels, probe.num_classes)
@@ -270,9 +264,8 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads,
         shard = partition.shards[k]
         l_means, l_counts = alg._class_means(nn.embed(local_model, train.features[shard]),
                                              train.labels[shard], train.num_classes)
-        protos = uploads[k]
-        eps1.append(ev.class_mean_distance(l_means, l_counts, protos.means, protos.counts))
-        eps2.append(ev.class_mean_distance(protos.means, protos.counts,
+        eps1.append(ev.class_mean_distance(l_means, l_counts, uploads[k], proto_counts))
+        eps2.append(ev.class_mean_distance(uploads[k], proto_counts,
                                            server.global_prototypes, proto_counts))
         k_means, k_counts = alg._class_means(nn.embed(local_model, probe.features),
                                              probe.labels, probe.num_classes)
@@ -295,13 +288,12 @@ def _non_self_gradient(config: ExperimentConfig, server: proto.ServerState,
         return None
     if server.prev_global_delta is None:
         return None
-    was_selected = client.id in server.prev_selected
     own = None
-    if was_selected:
+    if client.id in server.prev_selected:
         # remove this client's contribution to the applied global change:
         # eta_g * Delta_k / |S_{t-1}|
         own = config.eta_g * server.prev_deltas[client.id] / len(server.prev_selected)
-    return proto.non_self_gradient_cf(server.prev_global_delta, own, was_selected)
+    return proto.non_self_gradient_cf(server.prev_global_delta, own)
 
 
 def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
@@ -349,7 +341,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         selected = proto.sample_clients(config.num_clients, config.sample_rate,
                                         selection_rng, min_size=min_sel)
         deltas: dict[int, np.ndarray] = {}
-        proto_uploads: dict[int, alg.PrototypeSet] = {}
+        uploads: dict[int, np.ndarray] = {}
         control_updates = {}
         try:
             for k in selected:
@@ -366,8 +358,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                         client, template, server.global_params,
                         _non_self_gradient(config, server, client), train, surrogate,
                         server.global_prototypes, hyper, round_index=t)
-                    proto.upload_prototypes(server, k, protos.means)
-                    proto_uploads[k] = protos
+                    uploads[k] = proto.upload_prototypes(server, k, protos.means)
                 elif config.algo == "fedprox":
                     deltas[k] = alg.fedprox_local_train(client, template, server.global_params,
                                                         train, hyper, round_index=t)
@@ -394,8 +385,8 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                 shift += new_control - client_controls[k]
                 client_controls[k] = new_control
             server_control = server_control + shift / config.num_clients
-        if proto_uploads:
-            proto.aggregate_prototypes(server, mode=config.prototype_agg)
+        if uploads:
+            proto.aggregate_prototypes(server, uploads, mode=config.prototype_agg)
 
         down, up = proto.meter_round(meter, config.algo, template.num_params,
                                      train.num_classes, template.embed_dim)
@@ -406,22 +397,18 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
 
         record = {"round": t, "selected": selected, "test_acc": test_acc,
                   "comm_down": down, "comm_up": up, "divergence": None}
-        if proto_uploads and (t + 1) % config.divergence_cadence == 0:
+        if uploads and (t + 1) % config.divergence_cadence == 0:
             record["divergence"] = float(np.mean(
-                [ev.prototype_divergence(proto_uploads[k].means, server.global_prototypes)
+                [ev.prototype_divergence(uploads[k], server.global_prototypes)
                  for k in selected]))
             record.update(_triangle_fields(template, server, selected, theta_start, deltas,
-                                           proto_uploads, train, partition, probe))
+                                           uploads, train, partition, probe))
         record["wallclock_ms"] = (time.perf_counter() - tic) * 1000.0
         records.append(record)
 
-    evaluated = [a for a in series if a is not None]
     result = RunResult(
         algo=config.algo, scenario_seed=scenario_seed, training_seed=training_seed,
-        accuracy_series=series,
-        best_acc=max(evaluated) if evaluated else 0.0,
-        final_acc=evaluated[-1] if evaluated else 0.0,
-        run_dir=str(run_dir), diverged=diverged)
+        accuracy_series=series, run_dir=str(run_dir), diverged=diverged)
 
     if write_artifacts:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -524,12 +511,9 @@ def scan_results(root) -> dict[str, list[RunResult]]:
         with open(run_dir / "rounds.jsonl") as fh:
             for line in fh:
                 series.append(json.loads(line)["test_acc"])
-        evaluated = [a for a in series if a is not None]
         result = RunResult(
             algo=echo["algo"], scenario_seed=echo["scenario_seed"],
             training_seed=echo["training_seed"], accuracy_series=series,
-            best_acc=max(evaluated) if evaluated else 0.0,
-            final_acc=evaluated[-1] if evaluated else 0.0,
             run_dir=str(run_dir))
         out.setdefault(echo["algo"], []).append(result)
     return out

@@ -438,6 +438,29 @@ def reference_local_train(client, template, theta_start, dataset, hyper, grad_fn
     return theta - theta_start, theta
 
 
+class ReferenceCycler:
+    """The surrogate minibatch stream as an object: one permutation when
+    made, and a fresh one whenever a full batch no longer fits."""
+
+    def __init__(self, n, batch_size, rng):
+        self.n, self.bs, self.rng = n, min(batch_size, n), rng
+        self.order, self.pos = rng.permutation(n), 0
+
+    def next(self):
+        if self.pos + self.bs > self.n:
+            self.order, self.pos = self.rng.permutation(self.n), 0
+        self.pos += self.bs
+        return self.order[self.pos - self.bs:self.pos]
+
+
+@pytest.mark.parametrize("n,batch_size", [(45, 8), (40, 8), (5, 8), (7, 7), (1, 3)])
+def test_batch_cycler_matches_reference(n, batch_size):
+    stream = alg._batch_cycler(n, batch_size, np.random.default_rng(3))
+    ref = ReferenceCycler(n, batch_size, np.random.default_rng(3))
+    for _ in range(4 * n + 3):
+        assert np.array_equal(next(stream), ref.next())
+
+
 class TestInPlaceDriver:
     """Trainers on the in-place driver against the rebuilt-model loop."""
 
@@ -496,8 +519,8 @@ class TestInPlaceDriver:
         delta, out = alg.fedgps_local_train(self.client(), self.model, theta, nsg, self.ds,
                                             self.surrogate, protos, hyper)
         ref_client = self.client()
-        cycler = alg._BatchCycler(len(self.surrogate), hyper.batch_size,
-                                  ref_client.surrogate_rng)
+        cycler = ReferenceCycler(len(self.surrogate), hyper.batch_size,
+                                 ref_client.surrogate_rng)
         raw_nsg = None if nsg is None else -nsg
 
         def grad_fn(m, x, y):
@@ -624,6 +647,20 @@ class TestBaselines:
     def test_zero_lr_rejected_but_tiny_lr_freezes(self):
         with pytest.raises(ValueError):
             alg.FedGpsHyper(eta_l=0.0)
+
+    def test_every_broken_hyper_rule_named(self):
+        with pytest.raises(ValueError) as err:
+            alg.FedGpsHyper(lambda2=-1.0, eta_l=0.0, batch_size=0, nsg_sign=2.0)
+        for fragment in ("lambda", "eta_l", "batch_size", "nsg_sign"):
+            assert fragment in str(err.value)
+        assert alg.hyper_problems(alg.FedGpsHyper()) == []
+
+    @pytest.mark.parametrize("weights,on", [((0.0, 0.0, 0.0), False), ((1.0, 0.0, 0.0), True),
+                                            ((0.0, 0.1, 0.0), True), ((0.0, 0.0, 0.2), True)])
+    def test_uses_surrogate(self, weights, on):
+        ce, lam1, lam2 = weights
+        hyper = alg.FedGpsHyper(surrogate_ce=ce, lambda1=lam1, lambda2=lam2)
+        assert hyper.uses_surrogate is on
 
     def test_fedgps_zero_lr_limit_gives_zero_delta(self):
         # eta_l must be positive; verify the delta scales to ~0 as lr -> 0

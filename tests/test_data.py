@@ -181,6 +181,20 @@ class TestPartitionValidate:
             with pytest.raises(dat.PartitionError, match=want):
                 part.validate(4)
 
+    def test_no_shards_rejected(self):
+        with pytest.raises(dat.PartitionError, match="no shards"):
+            dat.Partition([]).validate(0)
+
+    def test_empty_file_loads_to_rejected_partition(self, tmp_path):
+        path = tmp_path / "partition.jsonl"
+        path.write_text("")
+        with pytest.raises(dat.PartitionError, match="no shards"):
+            dat.Partition.load_jsonl(path).validate(0)
+
+    def test_only_empty_shards_rejected(self):
+        with pytest.raises(dat.PartitionError, match="empty shard"):
+            dat.Partition([[], []]).validate(0)
+
 
 class TestCnPartition:
     def test_full_class_count_is_even_iid_split(self):

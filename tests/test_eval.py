@@ -1,4 +1,4 @@
-"""Metrics, transport distance, and the rank statistics, each checked
+"""Metrics, prototype distances, and the rank statistics, each checked
 against an independently coded oracle."""
 import numpy as np
 import pytest
@@ -25,46 +25,6 @@ class TestRoundToTarget:
         assert round(ev.speedup(340, 139), 1) == 2.4
         assert ev.speedup(None, 100) is None
         assert ev.speedup(100, None) is None
-
-
-class TestW1Empirical:
-    def test_identity(self):
-        a = np.array([0.3, 1.2, -0.5])
-        assert ev.w1_empirical_1d(a, a.copy()) == 0.0
-
-    def test_point_masses(self):
-        assert ev.w1_empirical_1d([0.0], [1.0]) == 1.0
-
-    def test_two_point_optimal_matching(self):
-        # optimal matching by hand: |0-2| + |1-3| over 2 points = 2
-        assert ev.w1_empirical_1d([0.0, 1.0], [2.0, 3.0]) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ev.w1_empirical_1d([], [1.0])
-
-    def test_unequal_sizes_resampled_deterministically(self):
-        a = [0.0, 1.0, 2.0, 3.0]
-        b = [0.0, 3.0]
-        v1 = ev.w1_empirical_1d(a, b)
-        v2 = ev.w1_empirical_1d(a, b)
-        assert v1 == v2 and v1 >= 0.0
-
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20),
-           st.lists(st.floats(-50, 50), min_size=1, max_size=20),
-           st.lists(st.floats(-50, 50), min_size=1, max_size=20),
-           st.integers(1, 20))
-    @settings(max_examples=60, deadline=None)
-    def test_metric_properties_on_equal_sizes(self, a, b, c, size):
-        rng = np.random.default_rng(0)
-        a = rng.choice(np.asarray(a), size=size)
-        b = rng.choice(np.asarray(b), size=size)
-        c = rng.choice(np.asarray(c), size=size)
-        dab = ev.w1_empirical_1d(a, b)
-        dba = ev.w1_empirical_1d(b, a)
-        assert dab == dba
-        assert dab >= 0.0
-        assert dab <= ev.w1_empirical_1d(a, c) + ev.w1_empirical_1d(c, b) + 1e-9
 
 
 class TestPrototypeDivergence:

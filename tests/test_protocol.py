@@ -64,6 +64,26 @@ class TestAggregate:
         assert server.round == 1
         assert np.array_equal(server.prev_global_delta, 0.5 * np.full(6, 2.0))
         server.check_invariants()
+        # a second round: the applied change is eta_g * mean of the deltas
+        # re-summed in ascending client id, bit for bit, whatever the
+        # insertion order
+        rng = np.random.default_rng(12)
+        deltas = {k: rng.standard_normal(6) for k in (7, 1, 4)}
+        start = server.global_params
+        proto.aggregate(server, deltas)
+        total = np.zeros(6)
+        for k in sorted(server.prev_deltas):
+            total += server.prev_deltas[k]
+        assert np.array_equal(server.prev_global_delta, 0.5 * (total / 3))
+        assert np.array_equal(server.global_params, start + server.prev_global_delta)
+        assert server.prev_selected == (1, 4, 7) and server.round == 2
+
+    def test_key_set_invariant_checked(self):
+        server = make_server()
+        proto.aggregate(server, {0: np.ones(6), 1: np.ones(6)})
+        del server.prev_deltas[1]
+        with pytest.raises(proto.ProtocolError, match="prev_selected"):
+            server.check_invariants()
 
     def test_order_independence_within_float_noise(self):
         rng = np.random.default_rng(3)
@@ -129,21 +149,18 @@ class TestNonSelfGradient:
 class TestNonSelfGradientCf:
     def test_not_selected_returns_global_delta(self):
         gd = np.array([1.0, -2.0, 3.0])
-        out = proto.non_self_gradient_cf(gd, None, selected_last_round=False)
+        out = proto.non_self_gradient_cf(gd, None)
         assert np.array_equal(out, gd)
+        assert out is not gd  # a copy: the caller may not alias the server's delta
 
     def test_sole_participant_cancels_to_zero(self):
         gd = np.array([1.0, -2.0, 3.0])
-        out = proto.non_self_gradient_cf(gd, gd, selected_last_round=True)
+        out = proto.non_self_gradient_cf(gd, gd)
         assert np.array_equal(out, np.zeros(3))
 
     def test_zero_global_delta(self):
-        out = proto.non_self_gradient_cf(np.zeros(3), None, False)
+        out = proto.non_self_gradient_cf(np.zeros(3), None)
         assert np.array_equal(out, np.zeros(3))
-
-    def test_missing_cached_delta_rejected(self):
-        with pytest.raises(proto.ProtocolError):
-            proto.non_self_gradient_cf(np.ones(3), None, selected_last_round=True)
 
     def test_antiparallel_to_standard_with_two_participants(self):
         # with |S| = 2 and the client's aggregate contribution removed, the
@@ -155,7 +172,7 @@ class TestNonSelfGradientCf:
         proto.aggregate(server, deltas)
         std = proto.non_self_gradient(server, 0, eta_g=1.0, eta_l=0.01)
         contribution = server.eta_g * deltas[0] / len(server.prev_selected)
-        cf = proto.non_self_gradient_cf(server.prev_global_delta, contribution, True)
+        cf = proto.non_self_gradient_cf(server.prev_global_delta, contribution)
         cos = (std @ cf) / (np.linalg.norm(std) * np.linalg.norm(cf))
         assert cos == pytest.approx(-1.0, abs=1e-12)
 
@@ -205,6 +222,17 @@ class TestCommMeter:
         assert meter.total_down == 100.0 + 240.0
         assert meter.total_up == 100.0 + 140.0
 
+    def test_running_totals_equal_ordered_sum(self):
+        # the running totals add each round in order, as sum() over a
+        # per-round list would
+        rng = np.random.default_rng(13)
+        rounds = [(float(d), float(u)) for d, u in rng.uniform(0, 1e4, size=(50, 2))]
+        meter = proto.CommMeter()
+        for d, u in rounds:
+            meter.record(d, u)
+        assert meter.total_down == sum(d for d, _ in rounds)
+        assert meter.total_up == sum(u for _, u in rounds)
+
     def test_unknown_algo_rejected(self):
         with pytest.raises(proto.ProtocolError):
             proto.meter_round(proto.CommMeter(), "fedmagic", 10, 2, 2)
@@ -214,22 +242,31 @@ class TestCommMeter:
             proto.meter_round(proto.CommMeter(), "fedavg", 0, 2, 2)
 
 
-class TestPrototypeUploadStaging:
-    def test_upload_then_aggregate_consumes_staged(self):
+class TestPrototypeUploads:
+    def test_checked_uploads_aggregate(self):
         server = make_server()
         server.global_prototypes = np.zeros((2, 3))
         a = np.ones((2, 3))
         b = np.full((2, 3), 3.0)
-        proto.upload_prototypes(server, 1, a)
-        proto.upload_prototypes(server, 0, b)
-        out = proto.aggregate_prototypes(server)
+        uploads = {1: proto.upload_prototypes(server, 1, a),
+                   0: proto.upload_prototypes(server, 0, b)}
+        assert uploads[1] is a and uploads[0] is b  # float64 arrays pass through
+        out = proto.aggregate_prototypes(server, uploads)
         assert np.array_equal(out, (a + b) / 2)
-        assert server.pending_prototypes == {}
-        with pytest.raises(proto.ProtocolError):
-            proto.aggregate_prototypes(server)  # nothing staged anymore
+        assert server.global_prototypes is out
+
+    def test_upload_converted_to_float64(self):
+        server = make_server()
+        server.global_prototypes = np.zeros((2, 2))
+        out = proto.upload_prototypes(server, 0, [[1, 2], [3, 4]])
+        assert out.dtype == np.float64 and np.array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_no_uploads_rejected(self):
+        with pytest.raises(proto.ProtocolError, match="no prototype uploads"):
+            proto.aggregate_prototypes(make_server(), {})
 
     def test_upload_shape_checked_against_global(self):
         server = make_server()
         server.global_prototypes = np.zeros((2, 3))
-        with pytest.raises(proto.ProtocolError):
+        with pytest.raises(proto.ProtocolError, match="client 0"):
             proto.upload_prototypes(server, 0, np.ones((3, 3)))

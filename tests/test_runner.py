@@ -31,11 +31,21 @@ class TestConfigValidation:
         cfg.algo = "fedmagic"
         cfg.sample_rate = 2.0
         cfg.test_fraction = 1.5
+        cfg.eta_l = 0
+        cfg.nsg_sign = 2
         with pytest.raises(runner.ConfigError) as err:
             cfg.validate()
         msg = str(err.value)
-        for fragment in ("rounds", "algo", "sample_rate", "test_fraction"):
+        for fragment in ("rounds", "algo", "sample_rate", "test_fraction",
+                         "eta_l must be > 0", "nsg_sign must be +1 or -1"):
             assert fragment in msg
+
+    def test_hyper_carries_every_hyper_field(self, tmp_path):
+        cfg = small_config(tmp_path, lambda1=0.3, lambda_g=0.2, nsg_sign=-1.0, prox_mu=0.4,
+                           batch_size=16, local_epochs=2, momentum=0.5, surrogate_ce=0.0)
+        hyper = cfg.hyper()
+        for f in dataclasses.fields(hyper):
+            assert getattr(hyper, f.name) == getattr(cfg, f.name)
 
     def test_rectification_needs_two_clients(self, tmp_path):
         cfg = small_config(tmp_path, algo="fedgps", sample_rate=0.25)
@@ -145,6 +155,18 @@ class TestRunArtifacts:
         scanned = runner.scan_results(tmp_path / "runs")
         assert set(scanned) == {"fedavg"}
         assert len(scanned["fedavg"]) == 2
+        by_seed = {r.scenario_seed: r for r in scanned["fedavg"]}
+        for r in results:
+            again = by_seed[r.scenario_seed]
+            assert again.accuracy_series == r.accuracy_series
+            assert (again.best_acc, again.final_acc) == (r.best_acc, r.final_acc)
+
+    def test_accuracies_derived_from_series(self):
+        def result(series):
+            return runner.RunResult("fedavg", 0, 0, series, "x")
+        assert (result([0.2, None, 0.5, 0.4, None]).best_acc,
+                result([0.2, None, 0.5, 0.4, None]).final_acc) == (0.5, 0.4)
+        assert (result([None, None]).best_acc, result([]).final_acc) == (0.0, 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_flagged(self, tmp_path):
@@ -166,6 +188,23 @@ class TestCli:
     def test_run_rejects_bad_config(self, tmp_path, capsys):
         code = cli.main(["run", "--rounds", "0", "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag,raw", [("--rounds", "abc"), ("--hidden", "64,x"),
+                                          ("--eta-l", "fast")])
+    def test_unparsable_flag_is_config_error(self, tmp_path, capsys, flag, raw):
+        code = cli.main(["run", flag, raw, "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and repr(raw) in err
+        assert "Traceback" not in err
+
+    def test_unparsable_ini_value_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text("[sweep]\nscenario_seeds = 0, one\n")
+        code = cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "scenario_seeds" in err and "'0, one'" in err
 
     def test_diag_comm_audit_prints_expected_units(self, capsys):
         code = cli.main(["diag", "comm-audit", "--M", "1000", "--C", "10",
