@@ -2,6 +2,9 @@
 # Walk through the dense-network machinery: forward/backward, the
 # finite-difference oracle on the composite training objective, and the
 # binary checkpoint round trip.
+import os
+import tempfile
+
 import numpy as np
 
 from fedsim import nn
@@ -49,7 +52,9 @@ rebuilt = nn.unflatten_like(model, theta)
 print(f"flatten -> unflatten bit-exact: "
       f"{all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) for a, b in zip(model._layers(), rebuilt._layers()))}")
 
-nn.save_checkpoint("/tmp/demo_model.bin", model)
-loaded = nn.load_checkpoint("/tmp/demo_model.bin")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_model.bin")
+    nn.save_checkpoint(path, model)
+    loaded = nn.load_checkpoint(path)
 print(f"checkpoint round trip bit-exact: "
       f"{np.array_equal(nn.flatten(loaded), theta)}")

@@ -16,11 +16,22 @@ synergy method adds two mechanisms on top of plain momentum SGD:
 The alignment distance is the mean over classes of the squared Euclidean
 distance between class-conditional mean embeddings, which keeps the
 gradient exact.
+
+With a surrogate term on, the synergy method lays out each local epoch
+once as an `EpochPlan`: every step's local and surrogate rows side by
+side, each row's cross-entropy index and weight, and the label-only part
+of the alignment terms (a matrix M_i per step that maps embeddings to
+class-mean differences, and per-class weights omega_i). A step is then
+one forward over a slice, one weighted softmax pass, the alignment terms
+as two small products (diff = M_i E - [0; P], and the embedding gradient
+M_i^T (2 omega_i diff)) and one backward. `fedgps_loss_and_grad` runs a
+one-step plan.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -78,7 +89,8 @@ class FedGpsHyper:
 
 def hyper_problems(h) -> list[str]:
     """The rules on the `FedGpsHyper` fields that `h`, a hyper or a config, breaks."""
-    problems = []
+    problems = [f"{f.name} must be finite" for f in fields(FedGpsHyper)
+                if f.type == "float" and not math.isfinite(getattr(h, f.name))]
     if min(h.lambda1, h.lambda2, h.lambda3, h.lambda_g) < 0:
         problems.append("lambda weights must be >= 0")
     if h.eta_l <= 0:
@@ -111,11 +123,9 @@ def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> Prot
                                       surrogate.num_classes))
 
 
-def _ce_from_logits(logits: np.ndarray, labels: np.ndarray, split: int | None = None,
-                    weight: float = 1.0) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the logits; row r's label entry
-    is read at flat index r * C + label. With `split`, the rows from `split` on are
-    a second batch, weighted by `weight`: one softmax pass, then per-batch means."""
+def _ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its gradient w.r.t. the logits; row r's label
+    entry is read at flat index r * C + label."""
     n, num_classes = logits.shape
     flat = np.arange(0, n * num_classes, num_classes) + labels
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -124,15 +134,8 @@ def _ce_from_logits(logits: np.ndarray, labels: np.ndarray, split: int | None = 
     losses = np.log(sums) - shifted.take(flat)
     probs /= sums[:, None]
     probs.reshape(-1)[flat] -= 1.0
-    if split is None:
-        probs /= n
-        return float(losses.sum()) / n, probs
-    n_second = n - split
-    probs[:split] /= split
-    probs[split:] /= n_second
-    probs[split:] *= weight
-    return (float(losses[:split].sum()) / split
-            + weight * (float(losses[split:].sum()) / n_second)), probs
+    probs /= n
+    return float(losses.sum()) / n, probs
 
 
 def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
@@ -159,6 +162,110 @@ def _class_means(embeddings: np.ndarray, labels: np.ndarray, num_classes: int):
     return means, counts
 
 
+class EpochPlan:
+    """The composite steps of one local epoch, laid out once.
+
+    Step i takes local rows [i*B, (i+1)*B) of the epoch's gathered shard
+    (B = min(batch_size, n)) and the surrogate rows `batches[i]`. Its rows
+    [local_i; surrogate_i] sit contiguously in `x`, so a step's inputs are
+    one slice. Per row the plan holds the flat cross-entropy index and the
+    cross-entropy weight: 1/n_local on local rows, surrogate_ce/n_surr on
+    surrogate rows.
+
+    With an alignment term on, step i's rows of `mt` hold M_i^T, where the
+    (2C x rows) matrix M_i turns the step's embeddings E into
+    [mu - nu; nu] with entries +-1/count, and `omega2[i]` holds 2*omega_i:
+    lambda1/n_shared on the classes both batches hold, lambda2/n_present
+    on the surrogate batch's classes (with global prototypes only) and 0
+    elsewhere. omega_i scales a class's difference before anything squares
+    it, so a huge embedding that no term weighs cannot make the loss 0*inf.
+    """
+
+    def __init__(self, x_local: np.ndarray, y_local: np.ndarray, batch_size: int,
+                 x_surr: np.ndarray, y_surr: np.ndarray, batches: np.ndarray,
+                 global_prototypes: np.ndarray | None, hyper: FedGpsHyper, model: MlpModel):
+        n, (steps, self.m), c = len(y_local), batches.shape, model.num_classes
+        self.batch = min(batch_size, n)
+        self.stride, self.c, self.lambda3 = self.batch + self.m, c, hyper.lambda3
+        n_loc = np.minimum(n - np.arange(steps) * self.batch, self.batch)
+        self.n_local = n_loc.tolist()
+        total = n + steps * self.m
+        # plan rows run step by step, each step's local rows first
+        pos = np.arange(total)
+        step, row = np.divmod(pos, self.stride)
+        step_local = n_loc[step]
+        surr = row >= step_local
+        local = ~surr
+        drawn = batches.ravel()
+        self.x = np.empty((total, x_local.shape[1]))
+        self.x[local], self.x[surr] = x_local, x_surr[drawn]
+        labels = np.empty(total, dtype=np.intp)
+        labels[local], labels[surr] = y_local, y_surr[drawn]
+        self.flat = row * c + labels
+        self.ce_weight = 1.0 / step_local
+        self.ce_weight[surr] = hyper.surrogate_ce / self.m
+
+        self.prototypes = global_prototypes if hyper.lambda2 > 0 else None
+        self.mt = None
+        if hyper.lambda1 == 0 and self.prototypes is None:
+            return
+        cell = labels + c * surr  # c for a local row of class c, C + c for a surrogate one
+        key = step * (2 * c) + cell
+        counts = np.bincount(key, minlength=steps * 2 * c).reshape(steps, 2 * c)
+        inv = (1.0 / np.maximum(counts, 1)).ravel()[key]
+        # a row's column of M_i: 1/count in its own class-mean row and, on a
+        # surrogate row, -1/count in its class's mu - nu row
+        self.mt = np.zeros((total, 2 * c))
+        self.mt[pos, cell] = inv
+        self.mt[pos, labels] -= inv * surr
+        present = counts[:, c:] > 0
+        self.omega2 = np.zeros((steps, 2 * c, 1))
+        if hyper.lambda1 > 0:
+            shared = (counts[:, :c] > 0) & present
+            self.omega2[:, :c, 0] = shared * (
+                2.0 * hyper.lambda1 / np.maximum(shared.sum(axis=1, keepdims=True), 1))
+        if self.prototypes is not None:
+            self.omega2[:, c:, 0] = present * (
+                2.0 * hyper.lambda2 / present.sum(axis=1, keepdims=True))
+
+    def loss_and_grad(self, model: MlpModel, start: int = 0) -> tuple[float, np.ndarray]:
+        """Composite loss and exact gradient of the step whose local rows start at `start`."""
+        i = start // self.batch
+        k = self.n_local[i]
+        rows = slice(i * self.stride, i * self.stride + k + self.m)
+        trace = forward(model, self.x[rows])
+        flat, weight, logits = self.flat[rows], self.ce_weight[rows], trace.logits
+        # `_ce_from_logits`'s softmax, each row normalised and weighted in one pass
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        dlogits = np.exp(shifted)
+        sums = dlogits.sum(axis=1)
+        losses = np.log(sums) - shifted.take(flat)
+        dlogits *= (weight / sums)[:, None]
+        dlogits.reshape(-1)[flat] -= weight
+        ce_local, ce_surr = float(losses[:k] @ weight[:k]), float(losses[k:] @ weight[k:])
+        stage1 = stage2 = 0.0
+        dembed = None
+        if self.mt is not None:
+            c, mt = self.c, self.mt[rows]
+            diff = mt.T @ trace.embeddings  # [mu - nu; nu]
+            if self.prototypes is not None:
+                diff[c:] -= self.prototypes
+            g = diff * self.omega2[i]
+            stage1 = 0.5 * float(np.vdot(g[:c], diff[:c]))
+            stage2 = 0.5 * float(np.vdot(g[c:], diff[c:]))
+            dembed = mt @ g
+        grad = backward(model, trace, dlogits, dembed)
+        l2 = 0.0
+        if self.lambda3 != 0.0:
+            theta = model.theta
+            l2 = self.lambda3 * float(theta @ theta)
+            grad += (2.0 * self.lambda3) * theta
+        loss = ce_local + ce_surr + stage1 + stage2 + l2
+        if not math.isfinite(loss):
+            raise DivergedError("non-finite composite loss")
+        return loss, grad
+
+
 def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
                          global_prototypes: np.ndarray | None,
                          hyper: FedGpsHyper) -> tuple[float, np.ndarray]:
@@ -173,60 +280,17 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
     class-conditional mean embeddings. Stage 1 covers classes present in
     both batches; stage 2 covers classes present in the surrogate batch
     (the downloaded prototypes are constants, a zero matrix in round 0).
-    With the surrogate machinery disabled this reduces, operation for
-    operation, to `ce_loss_and_grad` on the local batch.
+    The batches make a one-step `EpochPlan`, the trainer's code path. With
+    the surrogate machinery disabled this is `ce_loss_and_grad` on the
+    local batch.
     """
     x_local, y_local = local_batch
     if surrogate_batch is None or not hyper.uses_surrogate:
         return ce_loss_and_grad(model, x_local, y_local, hyper.lambda3)
-
     x_surr, y_surr = surrogate_batch
-    n_local = len(y_local)
-    trace = forward(model, np.concatenate([x_local, x_surr]))
-    loss, dlogits = _ce_from_logits(trace.logits, np.concatenate([y_local, y_surr]),
-                                    n_local, hyper.surrogate_ce)
-    dembed = None
-
-    if hyper.lambda1 > 0 or hyper.lambda2 > 0:
-        # Each alignment term is a function of the class means, so its embedding
-        # gradient is a per-class row divided by the class count and gathered by
-        # key: c for a local row of class c, C + c for a surrogate row. Row c of
-        # `diff` is mu_c - nu_c, row C + c is nu_c - p_c. Stage 1 writes only
-        # `where=` a class is shared, so every other gathered row keeps +0.0.
-        num_classes = model.num_classes
-        keys = np.concatenate([y_local, y_surr + num_classes])
-        means, counts = _class_means(trace.embeddings, keys, 2 * num_classes)
-        nu = means[num_classes:]
-        stage2 = hyper.lambda2 > 0 and global_prototypes is not None
-        diff = means - np.concatenate([nu, global_prototypes if stage2 else nu])
-        sq = (diff ** 2).sum(axis=1)
-        in_surr = counts[num_classes:] > 0
-        g = np.zeros(means.shape)
-        g_mu, g_nu = g[:num_classes], g[num_classes:]
-
-        if hyper.lambda1 > 0:
-            shared = (counts[:num_classes] > 0) & in_surr
-            n_shared = max(np.count_nonzero(shared), 1)  # none shared: the term adds 0.0
-            loss += hyper.lambda1 * (float(sq[:num_classes][shared].sum()) / n_shared)
-            np.multiply(2.0 * hyper.lambda1 / n_shared, diff[:num_classes], out=g_mu,
-                        where=shared[:, None])
-            np.negative(g_mu, out=g_nu, where=shared[:, None])
-
-        if stage2:
-            n_present = np.count_nonzero(in_surr)
-            loss += hyper.lambda2 * (float(sq[num_classes:][in_surr].sum()) / n_present)
-            g_nu += (2.0 * hyper.lambda2 / n_present) * diff[num_classes:]
-
-        dembed = (g / np.maximum(counts, 1)[:, None]).take(keys, axis=0)
-
-    grad = backward(model, trace, dlogits, dembed)
-    if hyper.lambda3 != 0.0:
-        theta = model.theta
-        loss += hyper.lambda3 * float(theta @ theta)
-        grad += (2.0 * hyper.lambda3) * theta
-    if not math.isfinite(loss):
-        raise DivergedError("non-finite composite loss")
-    return loss, grad
+    return EpochPlan(x_local, y_local, len(y_local), x_surr, y_surr,
+                     np.arange(len(y_surr))[None], global_prototypes, hyper,
+                     model).loss_and_grad(model)
 
 
 def rectification_shift(nsg: np.ndarray | None, lambda_g: float) -> np.ndarray | None:
@@ -269,16 +333,18 @@ def _batch_cycler(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
-               dataset: LabeledDataset, hyper: FedGpsHyper, grad_fn, round_index: int,
+               dataset: LabeledDataset, hyper: FedGpsHyper, epoch_grad, round_index: int,
                step_offset: np.ndarray | None = None) -> tuple[np.ndarray, MlpModel, int]:
     """Momentum-SGD for E local epochs, each over the shard gathered in a fresh shuffle.
 
-    `grad_fn(model, xb, yb)` returns the flat gradient for one minibatch;
-    every step updates `model.theta` in place. `step_offset`, when given,
-    is added to every step's displacement after momentum smoothing
-    (control-variate style). A `DivergedError` from a step is raised again
-    naming the round and the client, without overflow warnings on the way.
-    Returns (delta, end model, steps); the client keeps no copy of the delta.
+    `epoch_grad(features, labels)` receives each epoch's gathered shard
+    once and returns `step_grad(model, start, stop)`, the flat gradient
+    for the minibatch of rows start:stop; every step updates `model.theta`
+    in place. `step_offset`, when given, is added to every step's
+    displacement after momentum smoothing (control-variate style). A
+    `DivergedError` from a step is raised again naming the round and the
+    client, without overflow warnings on the way. Returns (delta, end
+    model, steps); the client keeps no copy of the delta.
     """
     model = unflatten_like(template, theta_start.copy())
     velocity = np.zeros_like(theta_start)
@@ -289,9 +355,10 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(hyper.local_epochs):
                 rows = client.shard[client.data_rng.permutation(n)]
-                features, labels = dataset.features.take(rows, axis=0), dataset.labels.take(rows)
+                step_grad = epoch_grad(dataset.features.take(rows, axis=0),
+                                       dataset.labels.take(rows))
                 for start in range(0, n, bs):
-                    grad = grad_fn(model, features[start:start + bs], labels[start:start + bs])
+                    grad = step_grad(model, start, start + bs)
                     velocity *= hyper.momentum
                     velocity += grad
                     if step_offset is None:
@@ -312,9 +379,11 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     """One client's round: rectified steps over the composite objective.
 
     The non-self gradient is fixed for the round, so its shift is computed
-    once and re-applied at every iteration; with rectification and all
-    surrogate terms disabled this trajectory is bit-identical to FedAvg's.
-    Returns the parameter delta and fresh local prototypes over the full
+    once and re-applied at every iteration. With a surrogate term on, each
+    epoch draws its steps' surrogate minibatches in step order and lays
+    the epoch out as one `EpochPlan`; with rectification and all surrogate
+    terms disabled this trajectory is bit-identical to FedAvg's. Returns
+    the parameter delta and fresh local prototypes over the full
     surrogate set.
     """
     if nsg is not None and hyper.nsg_sign == -1.0:
@@ -326,25 +395,33 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     cycler = (_batch_cycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
               if hyper.uses_surrogate else None)
 
-    def grad_fn(model, xb, yb):
-        surr = None
-        if cycler is not None:
-            mb = next(cycler)
-            surr = (surrogate.features.take(mb, axis=0), surrogate.labels.take(mb))
+    def epoch_grad(features, labels):
+        if cycler is None:
+            def step_grad(model, start, stop):
+                xb, yb = features[start:stop], labels[start:stop]
+                return rectified_gradient(model, nsg, hyper.lambda_g,
+                                          lambda m: ce_loss_and_grad(m, xb, yb, hyper.lambda3),
+                                          shift, at)
+            return step_grad
 
-        def closure(m):
-            return fedgps_loss_and_grad(m, (xb, yb), surr, global_prototypes, hyper)
-
-        return rectified_gradient(model, nsg, hyper.lambda_g, closure, shift, at)
+        n = len(labels)
+        batches = np.array(list(islice(cycler, -(-n // min(hyper.batch_size, n)))))
+        plan = EpochPlan(features, labels, hyper.batch_size, surrogate.features,
+                         surrogate.labels, batches, global_prototypes, hyper, template)
+        return lambda model, start, stop: rectified_gradient(
+            model, nsg, hyper.lambda_g, lambda m: plan.loss_and_grad(m, start), shift, at)
 
     delta, model_end, _ = _local_sgd(client, template, theta_global, dataset, hyper,
-                                     grad_fn, round_index)
+                                     epoch_grad, round_index)
     return delta, compute_local_prototypes(model_end, surrogate)
 
 
 def _ce_grad(hyper: FedGpsHyper):
-    """A step's gradient of local cross-entropy plus L2, for `_local_sgd`."""
-    return lambda model, xb, yb: ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
+    """Each step's gradient of local cross-entropy plus L2, for `_local_sgd`."""
+    def epoch_grad(features, labels):
+        return lambda model, start, stop: ce_loss_and_grad(
+            model, features[start:stop], labels[start:stop], hyper.lambda3)[1]
+    return epoch_grad
 
 
 def fedavg_local_train(client: ClientState, template: MlpModel,
@@ -361,14 +438,17 @@ def fedprox_local_train(client: ClientState, template: MlpModel,
     """FedAvg plus the proximal pull mu*(theta - theta_global)."""
     mu = hyper.prox_mu
 
-    def grad_fn(model, xb, yb):
-        grad = ce_loss_and_grad(model, xb, yb, hyper.lambda3)[1]
-        if mu != 0.0:
-            grad += mu * (model.theta - theta_global)
-        return grad
+    def epoch_grad(features, labels):
+        def step_grad(model, start, stop):
+            grad = ce_loss_and_grad(model, features[start:stop], labels[start:stop],
+                                    hyper.lambda3)[1]
+            if mu != 0.0:
+                grad += mu * (model.theta - theta_global)
+            return grad
+        return step_grad
 
     return _local_sgd(client, template, theta_global, dataset, hyper,
-                      grad_fn, round_index)[0]
+                      epoch_grad, round_index)[0]
 
 
 def scaffold_local_train(client: ClientState, template: MlpModel,

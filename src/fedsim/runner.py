@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 import time
 import zlib
@@ -117,6 +118,8 @@ class ExperimentConfig:
         if self.eval_cadence < 1 or self.divergence_cadence < 1:
             problems.append("cadences must be >= 1")
         problems += alg.hyper_problems(self)
+        problems += [f"{name} must be finite" for name in ("eta_g", "fedavgm_beta")
+                     if not math.isfinite(getattr(self, name))]
         if self.partition_kind not in ("dirichlet", "cn"):
             problems.append(f"partition_kind must be dirichlet/cn, got {self.partition_kind!r}")
         if self.partition_kind == "dirichlet" and self.alpha <= 0:

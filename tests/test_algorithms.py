@@ -1,6 +1,8 @@
 """Local training procedures: the composite objective, path
 rectification, prototype computation, and the baselines."""
+import collections
 import dataclasses
+import sys
 from unittest import mock
 
 import numpy as np
@@ -10,6 +12,7 @@ from fedsim import algorithms as alg
 from fedsim import data as dat
 from fedsim import nn
 from fedsim import protocol as proto
+from fedsim import runner
 from fedsim.diag import grad_check_report, quadratic_oracle_report
 
 
@@ -158,42 +161,6 @@ def reference_composite(model, local_batch, surrogate_batch, global_prototypes, 
     return loss + hyper.lambda3 * float(theta @ theta), grad + (2.0 * hyper.lambda3) * theta
 
 
-def reference_two_pass_composite(model, local_batch, surrogate_batch, global_prototypes,
-                                 hyper, backward=nn.backward):
-    """The composite objective with one `_class_means` call per batch, index
-    sets from `flatnonzero`, two alignment-gradient arrays and the embedding
-    gradient concatenated from two gathers: the form the joint pass replaced."""
-    (x_local, y_local), (x_surr, y_surr) = local_batch, surrogate_batch
-    if hyper.surrogate_ce == 0.0 and hyper.lambda1 == 0.0 and hyper.lambda2 == 0.0:
-        return alg.ce_loss_and_grad(model, x_local, y_local, hyper.lambda3)
-    n_local, num_classes = len(y_local), model.num_classes
-    trace = nn.forward(model, np.concatenate([x_local, x_surr]))
-    loss, dlogits = alg._ce_from_logits(trace.logits, np.concatenate([y_local, y_surr]),
-                                        n_local, hyper.surrogate_ce)
-    dembed = None
-    if hyper.lambda1 > 0 or hyper.lambda2 > 0:
-        mu, n_l = alg._class_means(trace.embeddings[:n_local], y_local, num_classes)
-        nu, n_s = alg._class_means(trace.embeddings[n_local:], y_surr, num_classes)
-        g_mu, g_nu = np.zeros_like(mu), np.zeros_like(nu)
-        if hyper.lambda1 > 0:
-            shared = np.flatnonzero((n_l > 0) & (n_s > 0))
-            if len(shared) > 0:
-                diff = mu[shared] - nu[shared]
-                loss += hyper.lambda1 * (float((diff ** 2).sum(axis=1).sum()) / len(shared))
-                g_mu[shared] = (2.0 * hyper.lambda1 / len(shared)) * diff
-                g_nu[shared] = -g_mu[shared]
-        if hyper.lambda2 > 0 and global_prototypes is not None:
-            present = np.flatnonzero(n_s > 0)
-            diff = nu[present] - global_prototypes[present]
-            loss += hyper.lambda2 * (float((diff ** 2).sum(axis=1).sum()) / len(present))
-            g_nu[present] += (2.0 * hyper.lambda2 / len(present)) * diff
-        dembed = np.concatenate([(g_mu / np.maximum(n_l, 1)[:, None])[y_local],
-                                 (g_nu / np.maximum(n_s, 1)[:, None])[y_surr]])
-    grad = backward(model, trace, dlogits, dembed)
-    theta = model.theta
-    return loss + hyper.lambda3 * float(theta @ theta), grad + (2.0 * hyper.lambda3) * theta
-
-
 def assert_same_bits(a, b):
     """Equal shape, dtype and bytes: signed zeros and NaN payloads included."""
     a, b = np.asarray(a), np.asarray(b)
@@ -214,22 +181,9 @@ def composite_case(seed, n_local=9, n_surr=11, local_classes=(0, 1, 2, 3),
 def assert_composite_matches_loop(seed, hyper, *args, **kwargs):
     model, local, surr, protos = composite_case(seed, *args, **kwargs)
     ref_loss, ref_grad = reference_composite(model, local, surr, protos, hyper)
-    dembeds = []  # the embedding gradient each form hands to backward
-
-    def spy(m, trace, dlogits, dembed=None):
-        dembeds.append(dembed)
-        return nn.backward(m, trace, dlogits, dembed)
-
-    with mock.patch.object(alg, "backward", spy):
-        loss, grad = alg.fedgps_loss_and_grad(model, local, surr, protos, hyper)
+    loss, grad = alg.fedgps_loss_and_grad(model, local, surr, protos, hyper)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
-    two_loss, two_grad = reference_two_pass_composite(model, local, surr, protos, hyper,
-                                                      backward=spy)
-    assert loss == two_loss
-    assert_same_bits(grad, two_grad)
-    if hyper.lambda1 > 0 or hyper.lambda2 > 0:
-        assert_same_bits(*dembeds)
 
 
 class TestVectorisedEquivalence:
@@ -289,8 +243,8 @@ class TestVectorisedEquivalence:
         ([2], [2]),            # one class on both sides, three absent on both
     ])
     @pytest.mark.parametrize("with_protos", [True, False])
-    def test_absent_classes_bit_for_bit(self, lambda1, lambda2, local_classes, surr_classes,
-                                        with_protos):
+    def test_absent_classes_match_loop(self, lambda1, lambda2, local_classes, surr_classes,
+                                       with_protos):
         hyper = alg.FedGpsHyper(lambda1=lambda1, lambda2=lambda2)
         assert_composite_matches_loop(53, hyper, 8, 8, local_classes, surr_classes,
                                       with_protos=with_protos)
@@ -318,7 +272,7 @@ def reference_ce(logits, labels):
     return loss, probs / n
 
 
-def reference_ce_fancy(logits, labels, split=None, weight=1.0):
+def reference_ce_fancy(logits, labels):
     """`_ce_from_logits` with 2-D fancy indexing [rows, labels], as written
     before the flat row * C + label indices."""
     rows = np.arange(len(labels))
@@ -328,31 +282,21 @@ def reference_ce_fancy(logits, labels, split=None, weight=1.0):
     losses = np.log(sums) - shifted[rows, labels]
     probs /= sums[:, None]
     probs[rows, labels] -= 1.0
-    if split is None:
-        return float(losses.sum()) / len(labels), probs / len(labels)
-    n_second = len(labels) - split
-    probs[:split] /= split
-    probs[split:] /= n_second
-    probs[split:] *= weight
-    return (float(losses[:split].sum()) / split
-            + weight * (float(losses[split:].sum()) / n_second)), probs
+    return float(losses.sum()) / len(labels), probs / len(labels)
 
 
-class TestJointCrossEntropy:
-    """One softmax pass over the local and surrogate rows against the two
-    `_ce_from_logits` calls it replaces, bit for bit."""
+class TestCrossEntropy:
+    """`_ce_from_logits` against the forms it replaced, bit for bit."""
 
-    @pytest.mark.parametrize("n,split", [(1, None), (3, None), (32, None), (64, None),
-                                         (35, 3), (64, 32), (20, 9), (2, 1)])
-    @pytest.mark.parametrize("weight", [0.0, 0.5, 1.0, 3.0])
-    def test_flat_index_matches_fancy_index(self, n, split, weight):
+    @pytest.mark.parametrize("n", [1, 3, 32, 64])
+    def test_flat_index_matches_fancy_index(self, n):
         rng = np.random.default_rng(n + 7)
         logits = 4.0 * rng.standard_normal((n, 10))
         logits[0, :3] = 0.0  # a tied row maximum
         labels = rng.integers(0, 10, n)
         before = logits.copy()
-        loss, dlogits = alg._ce_from_logits(logits, labels, split, weight)
-        ref_loss, ref_dlogits = reference_ce_fancy(logits, labels, split, weight)
+        loss, dlogits = alg._ce_from_logits(logits, labels)
+        ref_loss, ref_dlogits = reference_ce_fancy(logits, labels)
         assert loss == ref_loss
         assert_same_bits(dlogits, ref_dlogits)
         assert_same_bits(logits, before)
@@ -365,20 +309,6 @@ class TestJointCrossEntropy:
         loss, dlogits = alg._ce_from_logits(logits, labels)
         ref_loss, ref_dlogits = reference_ce(logits, labels)
         assert loss == ref_loss and np.array_equal(dlogits, ref_dlogits)
-
-    @pytest.mark.parametrize("n_local,n_surr", [(3, 32), (32, 32), (9, 11)])
-    @pytest.mark.parametrize("surrogate_ce", [0.0, 0.5, 1.0])
-    def test_matches_two_calls(self, n_local, n_surr, surrogate_ce):
-        rng = np.random.default_rng(n_local + n_surr)
-        logits = 4.0 * rng.standard_normal((n_local + n_surr, 10))
-        y_local = rng.integers(0, 10, n_local)
-        y_surr = rng.integers(0, 10, n_surr)
-        loss, dlogits = alg._ce_from_logits(logits, np.concatenate([y_local, y_surr]),
-                                            n_local, surrogate_ce)
-        ce_l, d_l = alg._ce_from_logits(logits[:n_local], y_local)
-        ce_s, d_s = alg._ce_from_logits(logits[n_local:], y_surr)
-        assert loss == ce_l + surrogate_ce * ce_s
-        assert np.array_equal(dlogits, np.concatenate([d_l, surrogate_ce * d_s]))
 
 
 class TestHoistedShift:
@@ -537,6 +467,143 @@ class TestInPlaceDriver:
         assert np.array_equal(out.means, ref_protos.means)
 
 
+class TestEpochPlan:
+    """Every step of an epoch plan against the loop reference, at rtol 1e-12
+    for loss and gradient, and the surrogate stream the plan draws."""
+
+    def setup_method(self):
+        self.ds = dat.gen_blobs(4, 4, 30, 2.0, 0.5, seed=80)
+        self.surrogate = dat.gen_surrogate(dat.make_surrogate_spec(4, 4, seed=81, n_per_class=5))
+        self.model = tiny_model(seed=82, classes=4)
+        self.protos = np.random.default_rng(83).standard_normal((4, self.model.embed_dim))
+
+    def shard(self, kind):
+        rng = np.random.default_rng(84)
+        return {"ragged": rng.permutation(120)[:45],     # 5 full batches of 8, then 5 rows
+                "short": rng.permutation(120)[:5],       # one batch smaller than B
+                "two_classes": np.flatnonzero(self.ds.labels < 2)[:30]}[kind]
+
+    def train(self, shard, hyper, protos, plan=alg.EpochPlan):
+        """Run fedgps_local_train without rectification; returns each step's
+        (theta, loss, gradient) and the client it trained."""
+        steps = []
+
+        def spy(model, nsg, lambda_g, loss_and_grad, shift=None, at=None):
+            loss, grad = loss_and_grad(model)
+            steps.append((model.theta.copy(), loss, grad))
+            return grad
+
+        client = make_client(shard, seed=85)
+        with mock.patch.object(alg, "rectified_gradient", spy), \
+                mock.patch.object(alg, "EpochPlan", plan):
+            alg.fedgps_local_train(client, self.model, nn.flatten(self.model), None, self.ds,
+                                   self.surrogate, protos, hyper)
+        return steps, client
+
+    def replay(self, shard, hyper):
+        """Each step's local and surrogate batches as the per-step loop draws them."""
+        client = make_client(shard, seed=85)
+        cycler = ReferenceCycler(len(self.surrogate), hyper.batch_size, client.surrogate_rng)
+        n = len(shard)
+        bs = min(hyper.batch_size, n)
+        for _ in range(hyper.local_epochs):
+            rows = shard[client.data_rng.permutation(n)]
+            for start in range(0, n, bs):
+                mb, local = cycler.next(), rows[start:start + bs]
+                yield ((self.ds.features[local], self.ds.labels[local]),
+                       (self.surrogate.features[mb], self.surrogate.labels[mb]))
+
+    @pytest.mark.parametrize("kind", ["ragged", "short", "two_classes"])
+    @pytest.mark.parametrize("lambda1,lambda2,surrogate_ce", [
+        (l1, l2, ce) for l1 in (0.0, 0.3) for l2 in (0.0, 0.4) for ce in (0.0, 1.0)
+        if l1 or l2 or ce])
+    @pytest.mark.parametrize("with_protos", [True, False])
+    def test_steps_match_loop(self, kind, lambda1, lambda2, surrogate_ce, with_protos):
+        hyper = alg.FedGpsHyper(lambda1=lambda1, lambda2=lambda2, surrogate_ce=surrogate_ce,
+                                local_epochs=2, batch_size=8, lambda_g=0.0)
+        protos = self.protos if with_protos else None
+        shard = self.shard(kind)
+        steps, _ = self.train(shard, hyper, protos)
+        batches = list(self.replay(shard, hyper))
+        assert len(steps) == len(batches) == 2 * -(-len(shard) // min(8, len(shard)))
+        for (theta, loss, grad), (local, surr) in zip(steps, batches):
+            ref_loss, ref_grad = reference_composite(nn.unflatten_like(self.model, theta),
+                                                     local, surr, protos, hyper)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+    def test_draws_the_per_step_surrogate_stream(self):
+        hyper = alg.FedGpsHyper(local_epochs=3, batch_size=8, lambda_g=0.0)
+        drawn, plan = [], alg.EpochPlan
+
+        def recording_plan(*args):
+            drawn.extend(args[5])  # the epoch's surrogate minibatches, one row per step
+            return plan(*args)
+
+        shard = self.shard("ragged")
+        _, client = self.train(shard, hyper, self.protos, recording_plan)
+        ref_rng = make_client(shard, seed=85).surrogate_rng
+        ref = ReferenceCycler(len(self.surrogate), hyper.batch_size, ref_rng)
+        assert len(drawn) == 3 * 6
+        for batch in drawn:
+            assert np.array_equal(batch, ref.next())
+        assert client.surrogate_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("lambda1,lambda2", [(0.3, 0.0), (0.0, 0.4), (0.3, 0.4)])
+    def test_huge_embeddings_on_zero_weight_class(self, lambda1, lambda2):
+        # class 0 is only in the local batch, so no alignment term weighs it, yet
+        # its squared mean overflows: the loss must stay finite, as the loop's does
+        model, (x, y), surr, protos = composite_case(90, 9, 11, (0, 1, 2), (1, 2, 3))
+        x[y == 0] = 1e200 * np.abs(x[y == 0])
+        hyper = alg.FedGpsHyper(lambda1=lambda1, lambda2=lambda2)
+        mu = nn.forward(model, x).embeddings[y == 0].mean(axis=0)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(mu @ mu)
+        loss, grad = alg.fedgps_loss_and_grad(model, (x, y), surr, protos, hyper)
+        ref_loss, ref_grad = reference_composite(model, (x, y), surr, protos, hyper)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+
+def c_calls_per_step(config, trainer, step_name):
+    """Profiler-visible C calls made inside `trainer` per local step, a
+    step being one call of `step_name`."""
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        counts[event] += 1
+        if event == "call" and frame.f_code.co_name == step_name:
+            counts["steps"] += 1
+
+    real = getattr(alg, trainer)
+
+    def profiled(*args, **kwargs):
+        sys.setprofile(profile)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            sys.setprofile(None)
+
+    with mock.patch.object(alg, trainer, profiled):
+        runner.run_one(config, 0, 0)
+    return counts["c_call"] / counts["steps"]
+
+
+def test_fedgps_step_dispatch_within_budget_of_fedavg(tmp_path):
+    """A fedgps step may make at most 1.25x the C calls of a FedAvg step on the
+    desk shapes. Call counts, unlike times, do not drift with the machine."""
+    config = runner.ExperimentConfig(
+        num_classes=10, input_dim=16, n_per_class=500, separation=0.8, noise_std=1.0,
+        num_clients=10, sample_rate=0.5, rounds=4, alpha=0.1, scenario_seeds=(0,),
+        training_seeds=(0,), lambda_g=0.2, nsg_sign=-1.0, out_dir=str(tmp_path))
+    fedavg = c_calls_per_step(dataclasses.replace(config, algo="fedavg"),
+                              "fedavg_local_train", "ce_loss_and_grad")
+    fedgps = c_calls_per_step(dataclasses.replace(config, algo="fedgps"),
+                              "fedgps_local_train", "rectified_gradient")
+    assert fedgps <= 1.25 * fedavg, (fedgps, fedavg)
+
+
 class TestRectifiedGradient:
     def closure(self, x, y):
         def fn(m):
@@ -654,6 +721,13 @@ class TestBaselines:
         for fragment in ("lambda", "eta_l", "batch_size", "nsg_sign"):
             assert fragment in str(err.value)
         assert alg.hyper_problems(alg.FedGpsHyper()) == []
+
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "lambda3", "lambda_g", "eta_l",
+                                       "momentum", "surrogate_ce", "nsg_sign", "prox_mu"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hyper_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            alg.FedGpsHyper(**{field: value})
 
     @pytest.mark.parametrize("weights,on", [((0.0, 0.0, 0.0), False), ((1.0, 0.0, 0.0), True),
                                             ((0.0, 0.1, 0.0), True), ((0.0, 0.0, 0.2), True)])

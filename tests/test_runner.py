@@ -52,6 +52,12 @@ class TestConfigValidation:
         with pytest.raises(runner.ConfigError, match="rectification"):
             cfg.validate()
 
+    @pytest.mark.parametrize("field", ["eta_g", "fedavgm_beta"])
+    def test_non_finite_server_rate_rejected(self, tmp_path, field):
+        cfg = small_config(tmp_path, **{field: float("nan")})
+        with pytest.raises(runner.ConfigError, match=f"{field} must be finite"):
+            cfg.validate()
+
     def test_missing_files_reported(self, tmp_path):
         cfg = small_config(tmp_path, dataset_kind="idx",
                            images_path=str(tmp_path / "nope.idx"),
@@ -197,6 +203,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert flag[2:].replace("-", "_") in err and repr(raw) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--eta-l", "--lambda2"])
+    def test_nan_hyperparameter_is_config_error(self, tmp_path, capsys, flag):
+        code = cli.main(["run", flag, "nan", "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unparsable_ini_value_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
