@@ -88,8 +88,9 @@ class FedGpsHyper:
 
 
 def hyper_problems(h) -> list[str]:
-    """The rules on the `FedGpsHyper` fields that `h`, a hyper or a config, breaks."""
-    problems = [f"{f.name} must be finite" for f in fields(FedGpsHyper)
+    """The rules on the `FedGpsHyper` fields that `h`, a hyper or a config,
+    breaks; every float field of `h` must be finite."""
+    problems = [f"{f.name} must be finite" for f in fields(h)
                 if f.type == "float" and not math.isfinite(getattr(h, f.name))]
     if min(h.lambda1, h.lambda2, h.lambda3, h.lambda_g) < 0:
         problems.append("lambda weights must be >= 0")

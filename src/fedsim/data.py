@@ -280,7 +280,8 @@ def cn_partition(labels, num_clients: int, classes_per_client: int, seed: int) -
     num_classes = int(labels.max()) + 1
     n_cls = classes_per_client
     if not 1 <= n_cls <= num_classes:
-        raise ValueError("classes_per_client must be in [1, num_classes]")
+        raise PartitionError(
+            f"classes_per_client must be in [1, {num_classes}], the classes the labels hold")
     if num_clients * n_cls < num_classes:
         raise PartitionError(
             f"cannot cover {num_classes} classes with {num_clients} clients "

@@ -39,7 +39,10 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(alg.FedGpsHyper):
+    """One experiment's settings; the local-training fields come first,
+    declared with their defaults once, on `FedGpsHyper`."""
+
     # dataset
     dataset_kind: str = "blobs"
     num_classes: int = 10
@@ -56,25 +59,14 @@ class ExperimentConfig:
     num_clients: int = 10
     sample_rate: float = 0.5
     rounds: int = 150
-    local_epochs: int = 1
-    batch_size: int = 32
     partition_kind: str = "dirichlet"
     alpha: float = 0.1
     classes_per_client: int = 2
     scenario_seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     training_seeds: tuple[int, ...] = (0,)
-    # algorithm
+    # algorithm, beside the local-training fields
     algo: str = "fedgps"
     eta_g: float = 1.0
-    eta_l: float = 0.01
-    momentum: float = 0.9
-    lambda1: float = 0.1
-    lambda2: float = 0.2
-    lambda3: float = 1e-5
-    lambda_g: float = 0.5
-    surrogate_ce: float = 1.0
-    nsg_sign: float = 1.0
-    prox_mu: float = 0.125
     fedavgm_beta: float = 0.9
     prototype_agg: str = "mean"
     # surrogate
@@ -88,6 +80,9 @@ class ExperimentConfig:
     divergence_cadence: int = 5
     out_dir: str = "runs"
     workers: int = 1
+
+    def __post_init__(self):
+        """No check on construction: `validate` reports every problem at once."""
 
     def hyper(self) -> alg.FedGpsHyper:
         return alg.FedGpsHyper(**{f.name: getattr(self, f.name) for f in fields(alg.FedGpsHyper)})
@@ -118,16 +113,19 @@ class ExperimentConfig:
         if self.eval_cadence < 1 or self.divergence_cadence < 1:
             problems.append("cadences must be >= 1")
         problems += alg.hyper_problems(self)
-        problems += [f"{name} must be finite" for name in ("eta_g", "fedavgm_beta")
-                     if not math.isfinite(getattr(self, name))]
         if self.partition_kind not in ("dirichlet", "cn"):
             problems.append(f"partition_kind must be dirichlet/cn, got {self.partition_kind!r}")
         if self.partition_kind == "dirichlet" and self.alpha <= 0:
             problems.append("alpha must be > 0")
-        if self.partition_kind == "cn" and not 1 <= self.classes_per_client <= self.num_classes:
+        # a file's class count is known once it is read; the partitioner checks it there
+        most = self.num_classes if self.dataset_kind == "blobs" else math.inf
+        if self.partition_kind == "cn" and not 1 <= self.classes_per_client <= most:
             problems.append("classes_per_client must be in [1, num_classes]")
         if not self.scenario_seeds or not self.training_seeds:
             problems.append("scenario_seeds and training_seeds must be non-empty")
+        seeds = {"data_seed": [self.data_seed], "surrogate_seed": [self.surrogate_seed],
+                 "scenario_seeds": self.scenario_seeds, "training_seeds": self.training_seeds}
+        problems += [f"{name} must be >= 0" for name, v in seeds.items() if min(v, default=0) < 0]
         if self.algo not in ALGORITHMS:
             problems.append(f"algo must be one of {ALGORITHMS}, got {self.algo!r}")
         if self.algo in RECTIFIED and round(self.sample_rate * self.num_clients) < 2:
@@ -138,8 +136,8 @@ class ExperimentConfig:
             problems.append("surrogate_n_per_class must be >= 1")
         if self.surrogate_std < 0:
             problems.append("surrogate_std must be >= 0")
-        if not self.hidden:
-            problems.append("hidden layer list must be non-empty")
+        if not self.hidden or min(self.hidden) < 1:
+            problems.append("hidden must list one or more widths, each >= 1")
         if self.workers < 1:
             problems.append("workers must be >= 1")
         if problems:
@@ -238,14 +236,15 @@ class RunResult:
     def final_acc(self) -> float:
         return next((a for a in reversed(self.accuracy_series) if a is not None), 0.0)
 
-    def dense_series(self) -> list[float]:
-        """Accuracy series with off-cadence gaps carried forward."""
+    def dense_series(self, length: int = 0) -> list[float]:
+        """Accuracy series with off-cadence gaps carried forward, padded to
+        `length` with its last value (0.0 when it has none)."""
         out, last = [], 0.0
         for a in self.accuracy_series:
             if a is not None:
                 last = a
             out.append(last)
-        return out
+        return out + [last] * (length - len(out))
 
 
 def _triangle_fields(template, server, selected, theta_start, deltas, uploads,
@@ -444,32 +443,27 @@ def _output_root(config: ExperimentConfig) -> Path:
     return Path(config.out_dir)
 
 
-def _run_unit(args) -> RunResult:
-    config_dict, ss, ts = args
-    config = ExperimentConfig(**config_dict)
-    return run_one(config, ss, ts)
-
-
 def run(config: ExperimentConfig) -> list[RunResult]:
     """All (scenario seed x training seed) units for config.algo."""
-    config.validate()
-    units = [(asdict(config), ss, ts)
+    return compare(config, [config.algo])[config.algo]
+
+
+def compare(config: ExperimentConfig, algos: list[str]) -> dict[str, list[RunResult]]:
+    """Run several algorithms under identical data/partition/seed streams:
+    every (algo x scenario seed x training seed) unit, through one worker
+    pool when config.workers > 1, then one sweep summary over them all."""
+    configs = [replace(config, algo=algo) for algo in algos]
+    for cfg in configs:
+        cfg.validate()
+    units = [(cfg, ss, ts) for cfg in configs
              for ss in config.scenario_seeds for ts in config.training_seeds]
     if config.workers > 1 and len(units) > 1:
         from concurrent.futures import ProcessPoolExecutor  # 2 MB of imports a serial run skips
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_unit, units))
+            results = list(pool.map(run_one, *zip(*units)))
     else:
-        results = [_run_unit(u) for u in units]
-    _write_sweep_summary(config, {config.algo: results})
-    return results
-
-
-def compare(config: ExperimentConfig, algos: list[str]) -> dict[str, list[RunResult]]:
-    """Run several algorithms under identical data/partition/seed streams."""
-    out = {}
-    for algo in algos:
-        out[algo] = run(replace(config, algo=algo))
+        results = [run_one(*unit) for unit in units]
+    out = {algo: [r for r in results if r.algo == algo] for algo in algos}
     _write_sweep_summary(config, out)
     return out
 
@@ -478,13 +472,16 @@ def results_to_scenarios(results_by_algo: dict[str, list[RunResult]]) -> list[ev
     """Collapse run results into per-scenario ACC/ROUND/SpeedUp records.
 
     Multiple training seeds per scenario are averaged pointwise first.
+    A run that diverged early has a shorter series: each series is padded
+    to the longest one (at least 1 round) with its last value.
     """
+    length = max([1] + [len(r.accuracy_series) for rs in results_by_algo.values() for r in rs])
     scenarios = sorted({r.scenario_seed for rs in results_by_algo.values() for r in rs})
     out = []
     for ss in scenarios:
         series_by_algo = {}
         for algo, rs in results_by_algo.items():
-            matched = [r.dense_series() for r in rs if r.scenario_seed == ss]
+            matched = [r.dense_series(length) for r in rs if r.scenario_seed == ss]
             if matched:
                 series_by_algo[algo] = np.mean(np.array(matched), axis=0).tolist()
         out.append(ev.build_scenario_result(f"scenario{ss}", series_by_algo))

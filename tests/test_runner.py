@@ -14,6 +14,19 @@ import pytest
 from fedsim import cli, nn, runner
 
 
+def write_csv(tmp_path):
+    """A 3-class CSV dataset of 90 rows, 3 features each."""
+    rows = ["f0,f1,f2,label"]
+    rng = np.random.default_rng(0)
+    for c in range(3):
+        for _ in range(30):
+            feats = rng.standard_normal(3) + 3 * c
+            rows.append(",".join(f"{v:.5f}" for v in feats) + f",{c}")
+    path = tmp_path / "ds.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 def small_config(tmp_path, **overrides):
     base = dict(num_classes=4, input_dim=6, n_per_class=40, separation=2.0,
                 noise_std=0.8, rounds=3, num_clients=4, sample_rate=0.5,
@@ -52,11 +65,25 @@ class TestConfigValidation:
         with pytest.raises(runner.ConfigError, match="rectification"):
             cfg.validate()
 
-    @pytest.mark.parametrize("field", ["eta_g", "fedavgm_beta"])
-    def test_non_finite_server_rate_rejected(self, tmp_path, field):
-        cfg = small_config(tmp_path, **{field: float("nan")})
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(runner.ExperimentConfig)
+                                       if f.type == "float"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_field_rejected(self, tmp_path, field, value):
+        cfg = small_config(tmp_path, **{field: value})
         with pytest.raises(runner.ConfigError, match=f"{field} must be finite"):
             cfg.validate()
+
+    def test_training_fields_declared_once(self):
+        from fedsim.algorithms import FedGpsHyper
+        own = set(runner.ExperimentConfig.__annotations__)
+        assert own.isdisjoint(f.name for f in dataclasses.fields(FedGpsHyper))
+        assert len(own) == 32
+        assert runner.ExperimentConfig().hyper() == FedGpsHyper()
+
+    def test_default_config_hash_pinned(self):
+        # run directories echo this hash; a reordered or re-declared field must not move it
+        assert (runner.config_sha1(runner.ExperimentConfig())
+                == "131ee332427daada66feff213c0b33c0943ba7e3")
 
     def test_missing_files_reported(self, tmp_path):
         cfg = small_config(tmp_path, dataset_kind="idx",
@@ -174,6 +201,17 @@ class TestRunArtifacts:
                 result([0.2, None, 0.5, 0.4, None]).final_acc) == (0.5, 0.4)
         assert (result([None, None]).best_acc, result([]).final_acc) == (0.0, 0.0)
 
+    def test_ragged_series_summarized(self):
+        """A run that diverged in round 0 and training seeds that stopped at
+        different rounds are padded with their last value, or 0.0."""
+        def result(algo, ts, series):
+            return runner.RunResult(algo, 0, ts, series, "x")
+        scenarios = runner.results_to_scenarios({
+            "fedavg": [result("fedavg", 0, [0.4, 0.6, 0.5]), result("fedavg", 1, [0.2])],
+            "fedprox": [result("fedprox", 0, [])]})
+        assert scenarios[0].acc == {"fedavg": 0.4, "fedprox": 0.0}
+        assert scenarios[0].rounds == {"fedavg": 1, "fedprox": None}
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_flagged(self, tmp_path):
         cfg = small_config(tmp_path, eta_l=1e154, rounds=2)
@@ -204,12 +242,32 @@ class TestCli:
         assert flag[2:].replace("-", "_") in err and repr(raw) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag", ["--eta-l", "--lambda2"])
+    @pytest.mark.parametrize("flag", ["--eta-l", "--lambda2", "--noise-std", "--separation",
+                                      "--surrogate-mean-scale", "--surrogate-std"])
     def test_nan_hyperparameter_is_config_error(self, tmp_path, capsys, flag):
         code = cli.main(["run", flag, "nan", "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag,raw", [
+        ("--hidden", "0"), ("--hidden", "8,-3"), ("--data-seed", "-1"),
+        ("--surrogate-seed", "-1"), ("--scenario-seeds", "0,-1"), ("--training-seeds", "-2")])
+    def test_width_or_seed_out_of_range_is_config_error(self, tmp_path, capsys, flag, raw):
+        code = cli.main(["run", f"{flag}={raw}", "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_classes_per_client_beyond_file_classes_is_config_error(self, tmp_path, capsys):
+        # checked against the file's 3 classes, not num_classes (10), which only blobs use
+        code = cli.main(["run", "--dataset-kind", "csv", "--csv-path", str(write_csv(tmp_path)),
+                         "--partition-kind", "cn", "--classes-per-client", "15",
+                         "--num-clients", "4", "--rounds", "1", "--scenario-seeds", "0",
+                         "--algo", "fedavg", "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert "classes_per_client must be in [1, 3]" in capsys.readouterr().err
 
     def test_unparsable_ini_value_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
@@ -310,14 +368,18 @@ class TestCli:
         assert len(rows) == 6 and all("M=1 " in row for row in rows)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_run_diverged_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("eta_l", ["1e154", "1e200"])
+    # one local step a round, diverging in round 1, or two, diverging in round 0
+    @pytest.mark.parametrize("n_per_class", ["20", "40"])
+    def test_run_diverged_exit_code(self, tmp_path, eta_l, n_per_class):
         code = cli.main(["run", "--rounds", "2", "--num-clients", "2",
                          "--sample-rate", "1.0", "--num-classes", "3",
-                         "--input-dim", "4", "--n-per-class", "20",
+                         "--input-dim", "4", "--n-per-class", n_per_class,
                          "--hidden", "8 4", "--scenario-seeds", "0",
-                         "--eta-l", "1e154", "--algo", "fedavg",
+                         "--eta-l", eta_l, "--algo", "fedavg",
                          "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_DIVERGED
+        assert (tmp_path / "o" / "summary.csv").exists()
 
 
 class TestSpecSurfaces:
@@ -331,12 +393,18 @@ class TestSpecSurfaces:
         assert cfg.eta_g == 1.0 and cfg.fedavgm_beta == 0.9
 
     def test_worker_pool_matches_sequential(self, tmp_path):
-        seq = runner.run(small_config(tmp_path, scenario_seeds=(0, 1), workers=1,
-                                      out_dir=str(tmp_path / "seq")))
-        par = runner.run(small_config(tmp_path, scenario_seeds=(0, 1), workers=2,
-                                      out_dir=str(tmp_path / "par")))
-        for a, b in zip(seq, par):
-            assert a.accuracy_series == b.accuracy_series
+        """One pool over every (algo x scenario) unit gives the serial sweep's
+        series and byte-identical summary and rank files."""
+        out = {}
+        for workers in (1, 2):
+            root = tmp_path / f"w{workers}"
+            results = runner.compare(small_config(tmp_path, scenario_seeds=(0, 1),
+                                                  workers=workers, out_dir=str(root)),
+                                     ["fedavg", "fedprox"])
+            out[workers] = ({a: [r.accuracy_series for r in rs] for a, rs in results.items()},
+                            (root / "summary.csv").read_bytes(),
+                            (root / "nemenyi.csv").read_bytes())
+        assert out[1] == out[2]
 
     def test_worker_pool_same_finals_and_checkpoints(self, tmp_path):
         # criterion 2's config, two scenarios: the pool must not move a bit
@@ -354,15 +422,7 @@ class TestSpecSurfaces:
         assert out[1] == out[2]
 
     def test_csv_dataset_end_to_end(self, tmp_path):
-        rows = ["f0,f1,f2,label"]
-        rng = np.random.default_rng(0)
-        for c in range(3):
-            for _ in range(30):
-                feats = rng.standard_normal(3) + 3 * c
-                rows.append(",".join(f"{v:.5f}" for v in feats) + f",{c}")
-        path = tmp_path / "ds.csv"
-        path.write_text("\n".join(rows) + "\n")
-        cfg = small_config(tmp_path, dataset_kind="csv", csv_path=str(path),
+        cfg = small_config(tmp_path, dataset_kind="csv", csv_path=str(write_csv(tmp_path)),
                            rounds=2, hidden=(8, 4))
         result = runner.run_one(cfg, 0, 0, write_artifacts=False)
         assert not result.diverged and result.best_acc > 0.0
