@@ -25,7 +25,8 @@ class-mean differences, and per-class weights omega_i). A step is then
 one forward over a slice, one weighted softmax pass, the alignment terms
 as two small products (diff = M_i E - [0; P], and the embedding gradient
 M_i^T (2 omega_i diff)) and one backward. `fedgps_loss_and_grad` runs a
-one-step plan.
+one-step plan. Each epoch's rows are gathered once with the ones column of
+`nn.Kernel`; trainer steps run on the template's `shared_kernel`.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from itertools import islice
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import MlpModel, backward, embed, forward, unflatten_like
+from .nn import Kernel, MlpModel, augment, embed, unflatten_like
 from .protocol import ClientState, apply_global_delta, mean_delta
 
 
@@ -124,11 +125,10 @@ def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> Prot
                                       surrogate.num_classes))
 
 
-def _ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def _ce_from_logits(logits: np.ndarray, flat: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. the logits; row r's label
-    entry is read at flat index r * C + label."""
-    n, num_classes = logits.shape
-    flat = np.arange(0, n * num_classes, num_classes) + labels
+    entry is read at the flat index flat[r] = r * C + label."""
+    n = len(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     sums = probs.sum(axis=1)
@@ -140,17 +140,26 @@ def _ce_from_logits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
 
 
 def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
-                     l2: float = 0.0) -> tuple[float, np.ndarray]:
-    """Cross-entropy plus l2*||theta||^2, with the exact flat gradient."""
-    trace = forward(model, batch_x)
-    loss, dlogits = _ce_from_logits(trace.logits, batch_y)
-    grad = backward(model, trace, dlogits)
+                     l2: float = 0.0, kernel: Kernel | None = None) -> tuple[float, np.ndarray]:
+    """Cross-entropy plus l2*||theta||^2, with the exact flat gradient as a
+    fresh vector. A trainer's step passes the shared `kernel` and rows laid
+    out by `_ce_objective` (`batch_x` with the ones column, `batch_y` as
+    flat indices r * C + label); the gradient is then the kernel's own."""
+    if kernel is None:
+        kernel, batch_x = Kernel(model.widths, len(batch_x)), augment(model, batch_x)
+        batch_y = np.arange(0, len(batch_x) * model.num_classes, model.num_classes) + batch_y
+    loss, dlogits = _ce_from_logits(kernel.forward(model, batch_x).logits, batch_y)
+    return _plus_l2(model, loss, kernel.backward(model, dlogits), l2, "cross-entropy")
+
+
+def _plus_l2(model: MlpModel, loss: float, grad: np.ndarray, l2: float, objective: str):
+    """loss + l2*||theta||^2 and its gradient added into `grad`; non-finite raises."""
     if l2 != 0.0:
         theta = model.theta
         loss += l2 * float(theta @ theta)
         grad += (2.0 * l2) * theta
     if not math.isfinite(loss):
-        raise DivergedError("non-finite cross-entropy loss")
+        raise DivergedError(f"non-finite {objective} loss")
     return loss, grad
 
 
@@ -166,12 +175,12 @@ def _class_means(embeddings: np.ndarray, labels: np.ndarray, num_classes: int):
 class EpochPlan:
     """The composite steps of one local epoch, laid out once.
 
-    Step i takes local rows [i*B, (i+1)*B) of the epoch's gathered shard
-    (B = min(batch_size, n)) and the surrogate rows `batches[i]`. Its rows
-    [local_i; surrogate_i] sit contiguously in `x`, so a step's inputs are
-    one slice. Per row the plan holds the flat cross-entropy index and the
-    cross-entropy weight: 1/n_local on local rows, surrogate_ce/n_surr on
-    surrogate rows.
+    Step i takes local rows [i*B, (i+1)*B) of the epoch's shard, x_local's
+    `rows` (B = min(batch_size, n)), and the surrogate rows `batches[i]`.
+    Its rows [local_i; surrogate_i], gathered once with the kernel's ones
+    column, sit contiguously in `x`, so a step's inputs are one slice. Per
+    row the plan holds the flat cross-entropy index and the weight:
+    1/n_local on local rows, surrogate_ce/n_surr on surrogate rows.
 
     With an alignment term on, step i's rows of `mt` hold M_i^T, where the
     (2C x rows) matrix M_i turns the step's embeddings E into
@@ -180,11 +189,14 @@ class EpochPlan:
     on the surrogate batch's classes (with global prototypes only) and 0
     elsewhere. omega_i scales a class's difference before anything squares
     it, so a huge embedding that no term weighs cannot make the loss 0*inf.
+    The steps run on `kernel` (by default a fresh one), overwriting it.
     """
 
     def __init__(self, x_local: np.ndarray, y_local: np.ndarray, batch_size: int,
                  x_surr: np.ndarray, y_surr: np.ndarray, batches: np.ndarray,
-                 global_prototypes: np.ndarray | None, hyper: FedGpsHyper, model: MlpModel):
+                 global_prototypes: np.ndarray | None, hyper: FedGpsHyper, model: MlpModel,
+                 rows=slice(None), kernel: Kernel | None = None):
+        y_local = y_local[rows]
         n, (steps, self.m), c = len(y_local), batches.shape, model.num_classes
         self.batch = min(batch_size, n)
         self.stride, self.c, self.lambda3 = self.batch + self.m, c, hyper.lambda3
@@ -198,8 +210,11 @@ class EpochPlan:
         surr = row >= step_local
         local = ~surr
         drawn = batches.ravel()
-        self.x = np.empty((total, x_local.shape[1]))
-        self.x[local], self.x[surr] = x_local, x_surr[drawn]
+        self.x = np.empty((total, x_local.shape[1] + 1))
+        self.x[local, :-1] = x_local[rows]
+        self.x[surr, :-1] = x_surr[drawn]
+        self.x[:, -1] = 1.0
+        self.kernel = kernel or Kernel(model.widths, self.batch + self.m)
         labels = np.empty(total, dtype=np.intp)
         labels[local], labels[surr] = y_local, y_surr[drawn]
         self.flat = row * c + labels
@@ -234,8 +249,8 @@ class EpochPlan:
         i = start // self.batch
         k = self.n_local[i]
         rows = slice(i * self.stride, i * self.stride + k + self.m)
-        trace = forward(model, self.x[rows])
-        flat, weight, logits = self.flat[rows], self.ce_weight[rows], trace.logits
+        kernel = self.kernel.forward(model, self.x[rows])
+        flat, weight, logits = self.flat[rows], self.ce_weight[rows], kernel.logits
         # `_ce_from_logits`'s softmax, each row normalised and weighted in one pass
         shifted = logits - logits.max(axis=1, keepdims=True)
         dlogits = np.exp(shifted)
@@ -248,23 +263,15 @@ class EpochPlan:
         dembed = None
         if self.mt is not None:
             c, mt = self.c, self.mt[rows]
-            diff = mt.T @ trace.embeddings  # [mu - nu; nu]
+            diff = mt.T @ kernel.embeddings  # [mu - nu; nu]
             if self.prototypes is not None:
                 diff[c:] -= self.prototypes
             g = diff * self.omega2[i]
             stage1 = 0.5 * float(np.vdot(g[:c], diff[:c]))
             stage2 = 0.5 * float(np.vdot(g[c:], diff[c:]))
             dembed = mt @ g
-        grad = backward(model, trace, dlogits, dembed)
-        l2 = 0.0
-        if self.lambda3 != 0.0:
-            theta = model.theta
-            l2 = self.lambda3 * float(theta @ theta)
-            grad += (2.0 * self.lambda3) * theta
-        loss = ce_local + ce_surr + stage1 + stage2 + l2
-        if not math.isfinite(loss):
-            raise DivergedError("non-finite composite loss")
-        return loss, grad
+        return _plus_l2(model, ce_local + ce_surr + stage1 + stage2,
+                        kernel.backward(model, dlogits, dembed), self.lambda3, "composite")
 
 
 def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
@@ -288,9 +295,8 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
     x_local, y_local = local_batch
     if surrogate_batch is None or not hyper.uses_surrogate:
         return ce_loss_and_grad(model, x_local, y_local, hyper.lambda3)
-    x_surr, y_surr = surrogate_batch
-    return EpochPlan(x_local, y_local, len(y_local), x_surr, y_surr,
-                     np.arange(len(y_surr))[None], global_prototypes, hyper,
+    return EpochPlan(x_local, y_local, len(y_local), *surrogate_batch,
+                     np.arange(len(surrogate_batch[1]))[None], global_prototypes, hyper,
                      model).loss_and_grad(model)
 
 
@@ -334,42 +340,35 @@ def _batch_cycler(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
-               dataset: LabeledDataset, hyper: FedGpsHyper, epoch_grad, round_index: int,
+               hyper: FedGpsHyper, epoch_grad, round_index: int,
                step_offset: np.ndarray | None = None) -> tuple[np.ndarray, MlpModel, int]:
-    """Momentum-SGD for E local epochs, each over the shard gathered in a fresh shuffle.
+    """Momentum-SGD for E local epochs, each over the shard in a fresh shuffle.
 
-    `epoch_grad(features, labels)` receives each epoch's gathered shard
-    once and returns `step_grad(model, start, stop)`, the flat gradient
-    for the minibatch of rows start:stop; every step updates `model.theta`
-    in place. `step_offset`, when given, is added to every step's
-    displacement after momentum smoothing (control-variate style). A
-    `DivergedError` from a step is raised again naming the round and the
-    client, without overflow warnings on the way. Returns (delta, end
-    model, steps); the client keeps no copy of the delta.
+    `epoch_grad(rows)` gathers each epoch's dataset rows, in step order,
+    once and returns `step_grad(model, start, stop)`, the flat gradient for
+    the minibatch of rows start:stop; every step updates `model.theta` in
+    place. `step_offset`, when given, is added to every step's displacement
+    after momentum smoothing (control-variate style). A `DivergedError`
+    from a step is raised again naming the round and the client, without
+    overflow warnings on the way. Returns (delta, end model, steps).
     """
     model = unflatten_like(template, theta_start.copy())
     velocity = np.zeros_like(theta_start)
     n = len(client.shard)
     bs = min(hyper.batch_size, n)
-    steps = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(hyper.local_epochs):
-                rows = client.shard[client.data_rng.permutation(n)]
-                step_grad = epoch_grad(dataset.features.take(rows, axis=0),
-                                       dataset.labels.take(rows))
+                step_grad = epoch_grad(client.shard[client.data_rng.permutation(n)])
                 for start in range(0, n, bs):
                     grad = step_grad(model, start, start + bs)
                     velocity *= hyper.momentum
                     velocity += grad
-                    if step_offset is None:
-                        model.theta -= hyper.eta_l * velocity
-                    else:
-                        model.theta -= hyper.eta_l * (velocity + step_offset)
-                    steps += 1
+                    model.theta -= hyper.eta_l * (velocity if step_offset is None
+                                                  else velocity + step_offset)
     except DivergedError as err:
         raise DivergedError(str(err), round_index, client.id) from None
-    return model.theta - theta_start, model, steps
+    return model.theta - theta_start, model, hyper.local_epochs * -(-n // bs)
 
 
 def fedgps_local_train(client: ClientState, template: MlpModel,
@@ -384,8 +383,7 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     epoch draws its steps' surrogate minibatches in step order and lays
     the epoch out as one `EpochPlan`; with rectification and all surrogate
     terms disabled this trajectory is bit-identical to FedAvg's. Returns
-    the parameter delta and fresh local prototypes over the full
-    surrogate set.
+    the delta and fresh local prototypes over the full surrogate set.
     """
     if nsg is not None and hyper.nsg_sign == -1.0:
         nsg = -nsg
@@ -396,32 +394,50 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     cycler = (_batch_cycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
               if hyper.uses_surrogate else None)
 
-    def epoch_grad(features, labels):
+    def epoch_grad(rows):
         if cycler is None:
-            def step_grad(model, start, stop):
-                xb, yb = features[start:stop], labels[start:stop]
-                return rectified_gradient(model, nsg, hyper.lambda_g,
-                                          lambda m: ce_loss_and_grad(m, xb, yb, hyper.lambda3),
-                                          shift, at)
-            return step_grad
+            objective = _ce_objective(dataset, rows, hyper, template)
+            return lambda model, start, stop: rectified_gradient(
+                model, nsg, hyper.lambda_g, lambda m: objective(m, start, stop), shift, at)
 
-        n = len(labels)
-        batches = np.array(list(islice(cycler, -(-n // min(hyper.batch_size, n)))))
-        plan = EpochPlan(features, labels, hyper.batch_size, surrogate.features,
-                         surrogate.labels, batches, global_prototypes, hyper, template)
+        bs = min(hyper.batch_size, len(rows))
+        batches = np.array(list(islice(cycler, -(-len(rows) // bs))))
+        plan = EpochPlan(dataset.features, dataset.labels, hyper.batch_size, surrogate.features,
+                         surrogate.labels, batches, global_prototypes, hyper, template, rows,
+                         template.shared_kernel(bs + batches.shape[1]))
         return lambda model, start, stop: rectified_gradient(
             model, nsg, hyper.lambda_g, lambda m: plan.loss_and_grad(m, start), shift, at)
 
-    delta, model_end, _ = _local_sgd(client, template, theta_global, dataset, hyper,
+    delta, model_end, _ = _local_sgd(client, template, theta_global, hyper,
                                      epoch_grad, round_index)
     return delta, compute_local_prototypes(model_end, surrogate)
 
 
-def _ce_grad(hyper: FedGpsHyper):
-    """Each step's gradient of local cross-entropy plus L2, for `_local_sgd`."""
-    def epoch_grad(features, labels):
-        return lambda model, start, stop: ce_loss_and_grad(
-            model, features[start:stop], labels[start:stop], hyper.lambda3)[1]
+def _ce_objective(dataset: LabeledDataset, rows: np.ndarray, hyper: FedGpsHyper,
+                  template: MlpModel):
+    """`ce_loss_and_grad` plus L2 over an epoch's rows start:stop on the shared
+    kernel, the rows gathered once with the ones column and flat indices."""
+    bs = min(hyper.batch_size, len(rows))
+    x = augment(template, dataset.features[rows])
+    flat = np.arange(len(rows)) % bs * template.num_classes + dataset.labels[rows]
+    kernel = template.shared_kernel(bs)
+    return lambda model, start, stop: ce_loss_and_grad(
+        model, x[start:stop], flat[start:stop], hyper.lambda3, kernel)
+
+
+def _ce_grad(dataset: LabeledDataset, hyper: FedGpsHyper, template: MlpModel,
+             anchor: np.ndarray | None = None):
+    """Each step's gradient of local cross-entropy plus L2, for `_local_sgd`;
+    with an `anchor`, plus FedProx's pull prox_mu * (theta - anchor)."""
+    def epoch_grad(rows):
+        objective = _ce_objective(dataset, rows, hyper, template)
+
+        def step_grad(model, start, stop):
+            grad = objective(model, start, stop)[1]
+            if anchor is not None and hyper.prox_mu != 0.0:
+                grad += hyper.prox_mu * (model.theta - anchor)
+            return grad
+        return step_grad
     return epoch_grad
 
 
@@ -429,27 +445,16 @@ def fedavg_local_train(client: ClientState, template: MlpModel,
                        theta_global: np.ndarray, dataset: LabeledDataset,
                        hyper: FedGpsHyper, round_index: int = 0) -> np.ndarray:
     """Plain momentum SGD on local cross-entropy (plus L2)."""
-    return _local_sgd(client, template, theta_global, dataset, hyper,
-                      _ce_grad(hyper), round_index)[0]
+    return _local_sgd(client, template, theta_global, hyper,
+                      _ce_grad(dataset, hyper, template), round_index)[0]
 
 
 def fedprox_local_train(client: ClientState, template: MlpModel,
                         theta_global: np.ndarray, dataset: LabeledDataset,
                         hyper: FedGpsHyper, round_index: int = 0) -> np.ndarray:
     """FedAvg plus the proximal pull mu*(theta - theta_global)."""
-    mu = hyper.prox_mu
-
-    def epoch_grad(features, labels):
-        def step_grad(model, start, stop):
-            grad = ce_loss_and_grad(model, features[start:stop], labels[start:stop],
-                                    hyper.lambda3)[1]
-            if mu != 0.0:
-                grad += mu * (model.theta - theta_global)
-            return grad
-        return step_grad
-
-    return _local_sgd(client, template, theta_global, dataset, hyper,
-                      epoch_grad, round_index)[0]
+    return _local_sgd(client, template, theta_global, hyper,
+                      _ce_grad(dataset, hyper, template, theta_global), round_index)[0]
 
 
 def scaffold_local_train(client: ClientState, template: MlpModel,
@@ -465,8 +470,8 @@ def scaffold_local_train(client: ClientState, template: MlpModel,
     Afterwards the client control becomes
     c_k - c + (theta_global - theta_end) / (steps * eta_l).
     """
-    delta, model_end, steps = _local_sgd(client, template, theta_global, dataset, hyper,
-                                         _ce_grad(hyper), round_index,
+    delta, model_end, steps = _local_sgd(client, template, theta_global, hyper,
+                                         _ce_grad(dataset, hyper, template), round_index,
                                          step_offset=server_control - client_control)
     new_control = client_control - server_control + \
         (theta_global - model_end.theta) / (steps * hyper.eta_l)

@@ -3,9 +3,17 @@
 The model is a stack of fully connected layers split into a feature
 extractor (linear + rectifier per layer) and a final linear classifier.
 All parameters live in one flat float64 vector, `model.theta`, the unit
-of all federated communication and arithmetic in this package; each layer
-is a reshape view into it. `flatten` returns a copy of that vector, and
-`unflatten_like` builds a model over a given vector, sharing its memory.
+of all federated communication and arithmetic in this package. Layer i's
+segment, W (fan_in, fan_out) row-major and then b, is the row-major
+block [W; b] that `model.blocks[i]` views. `flatten` returns a copy of
+theta, and `unflatten_like` builds a model over a given vector.
+
+Every pass runs through a `Kernel`: with a trailing ones column on each
+layer's input, a layer is one product [h, 1] @ [W; b], and backward's
+[h, 1]^T @ dz is the weight and bias gradient at once. `forward`, `embed`
+and `backward` make a kernel per batch and return fresh arrays; the
+local trainers step on their template's `shared_kernel`, which each step
+overwrites.
 """
 from __future__ import annotations
 
@@ -39,29 +47,31 @@ class MlpModel:
     theta: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.extractor and self.extractor[-1][0].shape[1] != self.classifier[0].shape[0]:
-            raise ShapeError("extractor output width must equal classifier input width")
-        size = sum(w.size + b.size for w, b in self._layers())
+        layers = self._layers()
+        if any(a[0].shape[1] != b[0].shape[0] for a, b in zip(layers, layers[1:])):
+            raise ShapeError("each layer's input width must equal the previous output width")
+        self.widths = (layers[0][0].shape[0], *(w.shape[1] for w, _ in layers))
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.widths, self.widths[1:]))
         if self.theta is None:
-            self.theta = np.concatenate([a.ravel() for wb in self._layers() for a in wb])
+            self.theta = np.concatenate([a.ravel() for wb in layers for a in wb])
         self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
         if self.theta.shape != (size,):
             raise ShapeError(f"expected flat vector of length {size}, got {self.theta.shape}")
-        *self.extractor, self.classifier = _layer_views(self.theta, self._layers())
+        self.blocks = _blocks(self.theta, self.widths)
+        *self.extractor, self.classifier = [(blk[:-1], blk[-1]) for blk in self.blocks]
+        self._kernel = None
 
     @property
     def input_dim(self) -> int:
-        if self.extractor:
-            return self.extractor[0][0].shape[0]
-        return self.classifier[0].shape[0]
+        return self.widths[0]
 
     @property
     def embed_dim(self) -> int:
-        return self.classifier[0].shape[0]
+        return self.widths[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.classifier[0].shape[1]
+        return self.widths[-1]
 
     @property
     def num_params(self) -> int:
@@ -70,41 +80,101 @@ class MlpModel:
     def _layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [*self.extractor, self.classifier]
 
-
-def _layer_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight, bias) views into `flat` with the shapes of `layers`."""
-    views, offset = [], 0
-    for w, b in layers:
-        end = offset + w.size
-        views.append((flat[offset:end].reshape(w.shape), flat[end:end + b.size]))
-        offset = end + b.size
-    return views
+    def shared_kernel(self, rows: int) -> Kernel:
+        """A kernel for any model of this shape with room for `rows`, kept on
+        this model and remade only to grow; each use overwrites the last."""
+        if self._kernel is None or self._kernel.capacity < rows:
+            self._kernel = Kernel(self.widths, rows)
+        return self._kernel
 
 
-@dataclass
-class ForwardTrace:
-    """Per-layer caches from a forward pass, consumed by `backward`."""
+def _blocks(flat: np.ndarray, widths) -> list[np.ndarray]:
+    """Each layer's (fan_in + 1, fan_out) block [W; b], a view into `flat`."""
+    blocks, offset = [], 0
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        end = offset + (fan_in + 1) * fan_out
+        blocks.append(flat[offset:end].reshape(fan_in + 1, fan_out))
+        offset = end
+    return blocks
 
-    inputs: np.ndarray
-    pre_acts: list[np.ndarray] = field(default_factory=list)
-    acts: list[np.ndarray] = field(default_factory=list)
-    embeddings: np.ndarray = None
-    logits: np.ndarray = None
+
+class Kernel:
+    """Buffers for the passes of one model shape over up to `capacity` rows.
+
+    `forward(model, x)` takes rows with the ones column. A hidden layer
+    writes its product into its own augmented buffer (ones column set
+    once) and rectifies the whole, contiguous buffer in place. `backward`
+    fills dh, the masks (each activation's sign) and one gradient vector,
+    made at its first call. n rows use each buffer's first n: the same
+    strides and bits as a kernel of n rows, with views rebuilt when n changes.
+    """
+
+    def __init__(self, widths, capacity: int):
+        self.widths, self.capacity, self.n, self._a = tuple(widths), capacity, -1, [None]
+        self._aug = [np.empty((capacity, w + 1)) for w in self.widths[1:-1]]
+        for a in self._aug:
+            a[:, -1] = 1.0
+        self._logits = np.empty((capacity, self.widths[-1]))
+        self.grad = None
+
+    def _rows(self, n: int) -> None:
+        self.n = n
+        self._a = self._a[:1] + [a[:n] for a in self._aug]  # layer i's augmented input
+        self.acts = [a[:, :-1] for a in self._a[1:]]  # each hidden activation
+        self.logits = self._logits[:n]
+        if self.grad is not None:
+            self._d, self._s = [d[:n] for d in self._dh], [s[:n] for s in self._sign]
+            self._m = [s[:, :-1] for s in self._s]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return self._a[0][:, :-1]
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        """The extractor's output: the last hidden activation, or the input."""
+        return self.acts[-1] if self.acts else self.inputs
+
+    def forward(self, model: MlpModel, x: np.ndarray, classify: bool = True) -> Kernel:
+        if len(x) != self.n:
+            self._rows(len(x))
+        a = self._a
+        a[0] = x
+        for i, z in enumerate(self.acts):
+            np.matmul(a[i], model.blocks[i], out=z)
+            np.maximum(a[i + 1], 0.0, out=a[i + 1])
+        if classify:
+            np.matmul(a[-1], model.blocks[-1], out=self.logits)
+        return self
+
+    def backward(self, model: MlpModel, dlogits: np.ndarray,
+                 dembed: np.ndarray | None = None) -> np.ndarray:
+        """The flat gradient of the last `forward`, in the kernel's own vector."""
+        if self.grad is None:
+            self._dh = [np.empty((self.capacity, w)) for w in self.widths[1:-1]]
+            self._sign = [np.empty_like(a) for a in self._aug]
+            self.grad = np.empty(model.num_params)
+            self._g = _blocks(self.grad, self.widths)
+            self._rows(self.n)
+        a, top, dz = self._a, len(self.acts), dlogits
+        for i in range(top, -1, -1):
+            np.matmul(a[i].T, dz, out=self._g[i])
+            if i:
+                dz = np.matmul(dz, model.blocks[i][:-1].T, out=self._d[i - 1])
+                if i == top and dembed is not None:
+                    dz += dembed
+                np.sign(a[i], out=self._s[i - 1])
+                np.multiply(dz, self._m[i - 1], out=dz)
+        return self.grad
 
 
 def init_mlp(input_dim: int, hidden: tuple[int, ...], num_classes: int,
              rng: np.random.Generator) -> MlpModel:
     """Seeded init: each layer uniform in +-1/sqrt(fan_in), biases zero."""
-    extractor = []
-    fan_in = input_dim
-    for width in hidden:
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, width))
-        extractor.append((w, np.zeros(width)))
-        fan_in = width
-    bound = 1.0 / np.sqrt(fan_in)
-    clf_w = rng.uniform(-bound, bound, size=(fan_in, num_classes))
-    return MlpModel(extractor=extractor, classifier=(clf_w, np.zeros(num_classes)))
+    widths = (input_dim, *hidden, num_classes)
+    *extractor, classifier = [(rng.uniform(-1.0 / np.sqrt(i), 1.0 / np.sqrt(i), size=(i, o)),
+                               np.zeros(o)) for i, o in zip(widths, widths[1:])]
+    return MlpModel(extractor=extractor, classifier=classifier)
 
 
 def flatten(model: MlpModel) -> np.ndarray:
@@ -118,52 +188,33 @@ def unflatten_like(template: MlpModel, vec: np.ndarray) -> MlpModel:
     return MlpModel(extractor=template.extractor, classifier=template.classifier, theta=vec)
 
 
-def _as_batch(model: MlpModel, batch) -> np.ndarray:
+def augment(model: MlpModel, batch) -> np.ndarray:
+    """A float64 copy of an (n, input_dim) batch with a trailing ones column."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"batch must be (n, {model.input_dim}), got {batch.shape}")
-    return batch
+        raise ShapeError(f"batch must be (n, {model.input_dim}), got {batch.shape}")
+    return np.concatenate([batch, np.ones((len(batch), 1))], axis=1)
 
 
-def forward(model: MlpModel, batch: np.ndarray) -> ForwardTrace:
-    """Run a batch through the network, caching every intermediate.
-
-    The feature space is the extractor's final activation (the input
-    itself when the extractor is empty); `trace.embeddings` holds it.
-    """
-    batch = _as_batch(model, batch)
-    trace = ForwardTrace(inputs=batch)
-    h = batch
-    for w, b in model.extractor:
-        z = h @ w
-        z += b
-        h = np.maximum(z, 0.0)
-        trace.pre_acts.append(z)
-        trace.acts.append(h)
-    trace.embeddings = h
-    clf_w, clf_b = model.classifier
-    trace.logits = h @ clf_w
-    trace.logits += clf_b
-    return trace
+def forward(model: MlpModel, batch: np.ndarray) -> Kernel:
+    """Run a batch through a fresh kernel, the trace `backward` takes, with
+    `logits`, `acts` and `embeddings` (the input when there is no extractor)."""
+    x = augment(model, batch)
+    return Kernel(model.widths, len(x)).forward(model, x)
 
 
 def embed(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """The extractor's output for a batch, bit-identical to
-    `forward(model, batch).embeddings` but keeping no trace: each layer's
-    rectifier runs in place, so only one activation per layer is made. For
-    forwards that need no `backward` (evaluation, prototypes, monitors)."""
-    h = _as_batch(model, batch)
-    for w, b in model.extractor:
-        h = h @ w
-        h += b
-        np.maximum(h, 0.0, out=h)
-    return h
+    `forward(model, batch).embeddings`, without the classifier. For
+    forwards that need no `backward` (prototypes, monitors)."""
+    x = augment(model, batch)
+    return Kernel(model.widths, len(x)).forward(model, x, classify=False).embeddings
 
 
-def backward(model: MlpModel, trace: ForwardTrace, dlogits: np.ndarray,
+def backward(model: MlpModel, trace: Kernel, dlogits: np.ndarray,
              dembed: np.ndarray | None = None) -> np.ndarray:
-    """Exact gradient of a loss over the full flattened parameter vector.
+    """Exact gradient of a loss over the full flattened parameter vector,
+    as a fresh vector.
 
     `dlogits` is the loss gradient w.r.t. the logits; an optional `dembed`
     (loss gradient w.r.t. the embeddings, as produced by feature-alignment
@@ -173,28 +224,12 @@ def backward(model: MlpModel, trace: ForwardTrace, dlogits: np.ndarray,
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != trace.logits.shape:
         raise ShapeError(f"dlogits shape {dlogits.shape} != logits {trace.logits.shape}")
-    grad = np.empty(model.num_params)
-    views = _layer_views(grad, model._layers())
-    clf_w, _ = model.classifier
-    np.matmul(trace.embeddings.T, dlogits, out=views[-1][0])
-    dlogits.sum(axis=0, out=views[-1][1])
-    dh = dlogits @ clf_w.T
     if dembed is not None:
         dembed = np.asarray(dembed, dtype=np.float64)
         if dembed.shape != trace.embeddings.shape:
             raise ShapeError(
                 f"dembed shape {dembed.shape} != embeddings {trace.embeddings.shape}")
-        dh += dembed
-
-    # dh is always a fresh product here, so it becomes dz in place.
-    for i in range(len(model.extractor) - 1, -1, -1):
-        dz = np.multiply(dh, trace.pre_acts[i] > 0, out=dh)
-        prev = trace.inputs if i == 0 else trace.acts[i - 1]
-        np.matmul(prev.T, dz, out=views[i][0])
-        dz.sum(axis=0, out=views[i][1])
-        if i > 0:
-            dh = dz @ model.extractor[i][0].T
-    return grad
+    return trace.backward(model, dlogits, dembed).copy()
 
 
 def finite_diff_check(model: MlpModel, batch, loss_fn, epsilon: float = 1e-5,

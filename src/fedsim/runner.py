@@ -211,11 +211,7 @@ def build_partition(config: ExperimentConfig, labels, scenario_seed: int) -> dat
 
 
 def accuracy(template: nn.MlpModel, theta: np.ndarray, dataset: dat.LabeledDataset) -> float:
-    model = nn.unflatten_like(template, theta)
-    clf_w, clf_b = model.classifier
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is DivergedError's to report
-        logits = nn.embed(model, dataset.features) @ clf_w
-        logits += clf_b
+    logits = nn.forward(nn.unflatten_like(template, theta), dataset.features).logits
     return float(np.mean(logits.argmax(axis=1) == dataset.labels))
 
 
@@ -298,9 +294,12 @@ def _non_self_gradient(config: ExperimentConfig, server: proto.ServerState,
     return proto.non_self_gradient_cf(server.prev_global_delta, own)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
             write_artifacts: bool = True) -> RunResult:
-    """One (scenario seed, training seed) unit: T rounds of config.algo."""
+    """One (scenario seed, training seed) unit: T rounds of config.algo.
+    Non-finite values raise no numpy warnings: a training loss that goes
+    non-finite ends the run, which is then reported as diverged."""
     dataset = build_dataset(config)
     split_seed = int(stream(config.data_seed, "split").integers(2 ** 31))
     train, test = dat.stratified_split(dataset, config.test_fraction, split_seed)

@@ -114,6 +114,11 @@ class TestCompositeObjective:
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
 
+def flat_index(labels, num_classes):
+    """Row r's label entry as the flat index r * C + label."""
+    return np.arange(len(labels)) * num_classes + labels
+
+
 def reference_class_means(embeddings, labels, num_classes):
     """Loop form of `_class_means`: one mask and one mean per present class."""
     means = np.zeros((num_classes, embeddings.shape[1]))
@@ -132,8 +137,8 @@ def reference_composite(model, local_batch, surrogate_batch, global_prototypes, 
     num_classes = model.num_classes
     trace_l = nn.forward(model, x_local)
     trace_s = nn.forward(model, x_surr)
-    ce_l, dlogits_l = alg._ce_from_logits(trace_l.logits, y_local)
-    ce_s, dlogits_s = alg._ce_from_logits(trace_s.logits, y_surr)
+    ce_l, dlogits_l = alg._ce_from_logits(trace_l.logits, flat_index(y_local, num_classes))
+    ce_s, dlogits_s = alg._ce_from_logits(trace_s.logits, flat_index(y_surr, num_classes))
     loss = ce_l + hyper.surrogate_ce * ce_s
     demb_l = np.zeros_like(trace_l.embeddings)
     demb_s = np.zeros_like(trace_s.embeddings)
@@ -295,7 +300,7 @@ class TestCrossEntropy:
         logits[0, :3] = 0.0  # a tied row maximum
         labels = rng.integers(0, 10, n)
         before = logits.copy()
-        loss, dlogits = alg._ce_from_logits(logits, labels)
+        loss, dlogits = alg._ce_from_logits(logits, flat_index(labels, 10))
         ref_loss, ref_dlogits = reference_ce_fancy(logits, labels)
         assert loss == ref_loss
         assert_same_bits(dlogits, ref_dlogits)
@@ -306,7 +311,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(n)
         logits = 4.0 * rng.standard_normal((n, 10))
         labels = rng.integers(0, 10, n)
-        loss, dlogits = alg._ce_from_logits(logits, labels)
+        loss, dlogits = alg._ce_from_logits(logits, flat_index(labels, 10))
         ref_loss, ref_dlogits = reference_ce(logits, labels)
         assert loss == ref_loss and np.array_equal(dlogits, ref_dlogits)
 
@@ -489,8 +494,8 @@ class TestEpochPlan:
         steps = []
 
         def spy(model, nsg, lambda_g, loss_and_grad, shift=None, at=None):
-            loss, grad = loss_and_grad(model)
-            steps.append((model.theta.copy(), loss, grad))
+            loss, grad = loss_and_grad(model)  # the shared kernel's buffer: copy it
+            steps.append((model.theta.copy(), loss, grad.copy()))
             return grad
 
         client = make_client(shard, seed=85)

@@ -104,28 +104,56 @@ class TestBackward:
             nn.backward(model, trace, np.zeros((2, 3)), dembed=np.zeros((2, 99)))
 
 
+def ones_column(h):
+    """`h` with a trailing ones column, as a fresh array."""
+    return np.hstack([h, np.ones((len(h), 1))])
+
+
 def reference_forward(model, x):
-    """Every layer out of place: a fresh array for each product and sum."""
-    pre_acts, acts, h = [], [], x
+    """Every layer out of place on the augmented formula [h, 1] @ [W; b]:
+    fresh arrays for the ones column, the stacked block and the product."""
+    acts, h = [], x
     for w, b in model.extractor:
-        pre_acts.append(h @ w + b)
-        h = np.maximum(pre_acts[-1], 0.0)
+        h = np.maximum(ones_column(h) @ np.vstack([w, b]), 0.0)
         acts.append(h)
-    return pre_acts, acts, h @ model.classifier[0] + model.classifier[1]
+    return acts, ones_column(h) @ np.vstack(model.classifier)
+
+
+def classical_forward(model, x):
+    """The textbook layer h @ W + b, bias added after the product."""
+    acts, h = [], x
+    for w, b in model.extractor:
+        h = np.maximum(h @ w + b, 0.0)
+        acts.append(h)
+    return acts, h @ model.classifier[0] + model.classifier[1]
+
+
+ROWS = [1, 3, 32, 64, 640]
 
 
 class TestInPlaceLayers:
     @pytest.mark.parametrize("hidden", [(), (6,), (64, 32)])
-    @pytest.mark.parametrize("rows", [1, 3, 64, 640])
+    @pytest.mark.parametrize("rows", ROWS)
     def test_forward_bit_identical_to_out_of_place(self, hidden, rows):
         model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
         x = np.random.default_rng(200 + rows).standard_normal((rows, 16))
         trace = nn.forward(model, x)
-        pre_acts, acts, logits = reference_forward(model, x)
-        for got, want in zip(trace.pre_acts + trace.acts + [trace.logits],
-                             pre_acts + acts + [logits]):
+        acts, logits = reference_forward(model, x)
+        assert len(trace.acts) == len(acts)
+        for got, want in zip(trace.acts + [trace.logits], acts + [logits]):
             assert got.tobytes() == want.tobytes()
-        assert len(trace.pre_acts) == len(pre_acts)
+
+    @pytest.mark.parametrize("hidden", [(), (6,), (64, 32)])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_forward_matches_classical_formula(self, hidden, rows):
+        # the bias joins the product, so only rounding may differ from h @ W + b
+        model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
+        model.theta[:] += np.random.default_rng(400 + rows).standard_normal(model.num_params)
+        x = np.random.default_rng(500 + rows).standard_normal((rows, 16))
+        trace = nn.forward(model, x)
+        acts, logits = classical_forward(model, x)
+        for got, want in zip(trace.acts + [trace.logits], acts + [logits]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("hidden", [(), (6,), (64, 32)])
     @pytest.mark.parametrize("rows", [1, 3, 64, 640])
@@ -146,33 +174,39 @@ class TestInPlaceLayers:
         trace = nn.forward(model, rng.standard_normal((64, 16)))
         dlogits = rng.standard_normal(trace.logits.shape)
         dembed = rng.standard_normal(trace.embeddings.shape) if with_dembed else None
-        arrays = [trace.inputs, *trace.pre_acts, *trace.acts, trace.embeddings,
+        arrays = [trace.inputs, *trace.acts, trace.embeddings,
                   trace.logits, dlogits, model.theta] + ([dembed] if with_dembed else [])
         before = [a.tobytes() for a in arrays]
         nn.backward(model, trace, dlogits, dembed)
         assert [a.tobytes() for a in arrays] == before
 
 
-def reference_backward(model, trace, dlogits, dembed=None):
+def reference_backward(model, trace, dlogits, dembed=None, classical=False):
     """The gradient as separate per-layer arrays concatenated at the end,
-    the layout `backward` fills through views of one flat vector."""
+    the layout `backward` fills through views of one flat vector. Each
+    layer's [dW; db] is [h, 1]^T @ dz out of place, or with `classical`
+    h^T @ dz and the column sums of dz."""
+    def layer(prev, dz):
+        if classical:
+            return [(prev.T @ dz).ravel(), dz.sum(axis=0)]
+        return [(ones_column(prev).T @ dz).ravel()]
+
     clf_w, _ = model.classifier
-    grad_clf = ((trace.embeddings.T @ dlogits).ravel(), dlogits.sum(axis=0))
+    parts = layer(trace.embeddings, dlogits)
     dh = dlogits @ clf_w.T
     if dembed is not None:
         dh = dh + dembed
-    parts = []
     for i in range(len(model.extractor) - 1, -1, -1):
-        dz = dh * (trace.pre_acts[i] > 0)
+        dz = dh * (trace.acts[i] > 0)
         prev = trace.inputs if i == 0 else trace.acts[i - 1]
-        parts = [(prev.T @ dz).ravel(), dz.sum(axis=0)] + parts
+        parts = layer(prev, dz) + parts
         dh = dz @ model.extractor[i][0].T
-    return np.concatenate(parts + list(grad_clf))
+    return np.concatenate(parts)
 
 
 class TestFlatBackwardEquivalence:
     @pytest.mark.parametrize("hidden", [(), (6,), (64, 32), (7, 5, 3)])
-    @pytest.mark.parametrize("rows", [1, 3, 32, 64])
+    @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("with_dembed", [False, True])
     def test_bit_identical_to_concatenated_parts(self, hidden, rows, with_dembed):
         model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
@@ -182,6 +216,9 @@ class TestFlatBackwardEquivalence:
         dembed = rng.standard_normal(trace.embeddings.shape) if with_dembed else None
         grad = nn.backward(model, trace, dlogits, dembed)
         assert np.array_equal(grad, reference_backward(model, trace, dlogits, dembed))
+        np.testing.assert_allclose(
+            grad, reference_backward(model, trace, dlogits, dembed, classical=True),
+            rtol=1e-12, atol=1e-12)
 
     def test_returns_a_fresh_vector(self):
         model = tiny_model(seed=20)
@@ -192,6 +229,39 @@ class TestFlatBackwardEquivalence:
         assert first is not second and not np.shares_memory(first, model.theta)
         first[:] = 0.0
         assert np.array_equal(second, nn.backward(model, trace, dlogits))
+
+
+class TestKernelReuse:
+    """A kernel reused at fewer rows than it holds, as a trainer's short last
+    batch uses it, against a fresh kernel made for exactly those rows."""
+
+    @pytest.mark.parametrize("hidden", [(), (6,), (64, 32)])
+    @pytest.mark.parametrize("rows", [1, 3, 32, 45])
+    def test_fewer_rows_same_bits_as_fresh(self, hidden, rows):
+        model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
+        rng = np.random.default_rng(600 + rows)
+        big, x = nn.augment(model, rng.standard_normal((64, 16))), nn.augment(
+            model, rng.standard_normal((rows, 16)))
+        dlogits = rng.standard_normal((rows, 10))
+        dembed = rng.standard_normal((rows, model.embed_dim))
+        reused = nn.Kernel(model.widths, 64)
+        reused.forward(model, big)
+        reused.backward(model, rng.standard_normal((64, 10)))
+        fresh = nn.Kernel(model.widths, rows).forward(model, x)
+        reused.forward(model, x)
+        assert reused.logits.tobytes() == fresh.logits.tobytes()
+        assert reused.embeddings.tobytes() == fresh.embeddings.tobytes()
+        assert (reused.backward(model, dlogits, dembed).tobytes()
+                == fresh.backward(model, dlogits, dembed).tobytes())
+
+    def test_shared_kernel_grows_and_is_reused(self):
+        model = tiny_model(seed=40)
+        small = model.shared_kernel(5)
+        assert model.shared_kernel(3) is small
+        grown = model.shared_kernel(6)
+        assert grown is not small and grown.capacity == 6
+        assert model.shared_kernel(2) is grown
+        assert tiny_model(seed=40).shared_kernel(2) is not grown
 
 
 class TestFlatBuffer:

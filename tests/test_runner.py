@@ -381,6 +381,19 @@ class TestCli:
         assert code == cli.EXIT_DIVERGED
         assert (tmp_path / "o" / "summary.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("algo", ["fedgps", "fedgps_cf"])
+    def test_rectified_run_diverges_without_warnings(self, tmp_path, algo):
+        # diverges after round 0: the shift, the non-self gradient, the
+        # prototypes and the monitor all meet non-finite values first
+        code = cli.main(["run", "--algo", algo, "--eta-l", "1e200", "--rounds", "3",
+                         "--num-clients", "2", "--sample-rate", "1.0", "--num-classes", "3",
+                         "--input-dim", "4", "--n-per-class", "20", "--hidden", "8 4",
+                         "--scenario-seeds", "0", "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_DIVERGED
+        meta = json.loads((tmp_path / "o" / f"{algo}_s0_t0" / "checkpoint.meta.json").read_text())
+        assert meta["diverged"] and meta["round"] >= 1
+
 
 class TestSpecSurfaces:
     def test_published_hyperparameters_accepted_as_defaults(self, tmp_path):
