@@ -27,6 +27,14 @@ as two small products (diff = M_i E - [0; P], and the embedding gradient
 M_i^T (2 omega_i diff)) and one backward. `fedgps_loss_and_grad` runs a
 one-step plan. Each epoch's rows are gathered once with the ones column of
 `nn.Kernel`; trainer steps run on the template's `shared_kernel`.
+
+The template is the run's workspace. Once per run it keeps the trainee
+and the rectified point (`MlpModel.scratch`), the kernels, and the last
+plan layout, which every epoch of a shard of that size reuses. Once per
+round, the clients that share a non-self gradient share its
+rectification shift (`_shift`). Prototypes run on the template's
+inference kernel over the surrogate's kept inputs and class indicator,
+so per client they cost one forward and one product.
 """
 from __future__ import annotations
 
@@ -36,8 +44,8 @@ from itertools import islice
 
 import numpy as np
 
-from .data import LabeledDataset
-from .nn import Kernel, MlpModel, augment, embed, unflatten_like
+from .data import LabeledDataset, class_indicator
+from .nn import Kernel, MlpModel, augment, unflatten_like
 from .protocol import ClientState, apply_global_delta, mean_delta
 
 
@@ -114,15 +122,17 @@ class PrototypeSet:
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        missing = np.flatnonzero(self.counts < 1)
-        if len(missing) > 0:
-            raise ValueError(f"missing class {missing[0]}: every class needs a sample")
+        if self.counts.min(initial=1) < 1:
+            missing = np.flatnonzero(self.counts < 1)[0]
+            raise ValueError(f"missing class {missing}: every class needs a sample")
 
 
 def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> PrototypeSet:
-    """Class-c prototype = mean extractor embedding over surrogate class c."""
-    return PrototypeSet(*_class_means(embed(model, surrogate.features), surrogate.labels,
-                                      surrogate.num_classes))
+    """Class-c prototype = mean extractor embedding over surrogate class c,
+    from the surrogate's kept inputs and indicator on `model`'s inference kernel."""
+    kernel = model.inference_kernel(len(surrogate))
+    embeddings = kernel.forward(model, surrogate.augmented, classify=False).embeddings
+    return PrototypeSet(*_means_by_class(embeddings, *surrogate.indicator))
 
 
 def _ce_from_logits(logits: np.ndarray, flat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -166,10 +176,32 @@ def _plus_l2(model: MlpModel, loss: float, grad: np.ndarray, l2: float, objectiv
 def _class_means(embeddings: np.ndarray, labels: np.ndarray, num_classes: int):
     """Per-class mean embeddings plus counts for one batch; an absent
     class gets a zero mean and a zero count."""
-    counts = np.bincount(labels, minlength=num_classes)
-    onehot = np.equal.outer(np.arange(num_classes), labels).astype(np.float64)
-    means = (onehot @ embeddings) / np.maximum(counts, 1)[:, None]
-    return means, counts
+    return _means_by_class(embeddings, *class_indicator(labels, num_classes))
+
+
+def _means_by_class(embeddings: np.ndarray, onehot: np.ndarray, counts: np.ndarray):
+    """`_class_means` over a `class_indicator` made beforehand."""
+    return (onehot @ embeddings) / np.maximum(counts, 1)[:, None], counts
+
+
+class _PlanLayout:
+    """The label-free index arithmetic of an epoch plan over n local rows in
+    batches of B, with m surrogate rows per step. It depends only on its
+    arguments: a run's template keeps the last one, which every epoch of a
+    shard of the same size reuses."""
+
+    def __init__(self, n: int, batch: int, steps: int, m: int, c: int, surrogate_ce: float):
+        n_loc = np.minimum(n - np.arange(steps) * batch, batch)
+        self.stride, self.n_local = batch + m, n_loc.tolist()
+        # plan rows run step by step, each step's local rows first
+        self.pos = np.arange(n + steps * m)
+        step, row = np.divmod(self.pos, self.stride)
+        step_local = n_loc[step]
+        surr = row >= step_local
+        self.local, self.surr_rows = np.flatnonzero(~surr), np.flatnonzero(surr)
+        self.row_c, self.surr_c, self.step_2c = row * c, c * surr, step * (2 * c)
+        self.ce_weight = 1.0 / step_local
+        self.ce_weight[surr] = surrogate_ce / m
 
 
 class EpochPlan:
@@ -199,50 +231,46 @@ class EpochPlan:
         y_local = y_local[rows]
         n, (steps, self.m), c = len(y_local), batches.shape, model.num_classes
         self.batch = min(batch_size, n)
-        self.stride, self.c, self.lambda3 = self.batch + self.m, c, hyper.lambda3
-        n_loc = np.minimum(n - np.arange(steps) * self.batch, self.batch)
-        self.n_local = n_loc.tolist()
-        total = n + steps * self.m
-        # plan rows run step by step, each step's local rows first
-        pos = np.arange(total)
-        step, row = np.divmod(pos, self.stride)
-        step_local = n_loc[step]
-        surr = row >= step_local
-        local = ~surr
-        drawn = batches.ravel()
+        self.c, self.lambda3 = c, hyper.lambda3
+        key = (n, self.batch, steps, self.m, c, hyper.surrogate_ce)
+        last = model.kept("plan layout", dict)
+        if last.get("key") != key:
+            last.update(key=key, layout=_PlanLayout(*key))
+        lay = last["layout"]
+        self.stride, self.n_local, self.ce_weight = lay.stride, lay.n_local, lay.ce_weight
+        drawn, total = batches.ravel(), len(lay.pos)
         self.x = np.empty((total, x_local.shape[1] + 1))
-        self.x[local, :-1] = x_local[rows]
-        self.x[surr, :-1] = x_surr[drawn]
+        self.x[lay.local, :-1] = x_local[rows]
+        self.x[lay.surr_rows, :-1] = x_surr[drawn]
         self.x[:, -1] = 1.0
         self.kernel = kernel or Kernel(model.widths, self.batch + self.m)
-        labels = np.empty(total, dtype=np.intp)
-        labels[local], labels[surr] = y_local, y_surr[drawn]
-        self.flat = row * c + labels
-        self.ce_weight = 1.0 / step_local
-        self.ce_weight[surr] = hyper.surrogate_ce / self.m
+        labels, y_drawn = np.empty(total, dtype=np.intp), y_surr[drawn]
+        labels[lay.local], labels[lay.surr_rows] = y_local, y_drawn
+        self.flat = lay.row_c + labels
 
         self.prototypes = global_prototypes if hyper.lambda2 > 0 else None
         self.mt = None
         if hyper.lambda1 == 0 and self.prototypes is None:
             return
-        cell = labels + c * surr  # c for a local row of class c, C + c for a surrogate one
-        key = step * (2 * c) + cell
+        cell = labels + lay.surr_c  # c for a local row of class c, C + c for a surrogate one
+        key = lay.step_2c + cell
         counts = np.bincount(key, minlength=steps * 2 * c).reshape(steps, 2 * c)
         inv = (1.0 / np.maximum(counts, 1)).ravel()[key]
         # a row's column of M_i: 1/count in its own class-mean row and, on a
         # surrogate row, -1/count in its class's mu - nu row
         self.mt = np.zeros((total, 2 * c))
-        self.mt[pos, cell] = inv
-        self.mt[pos, labels] -= inv * surr
+        self.mt[lay.pos, cell] = inv
+        self.mt[lay.surr_rows, y_drawn] = -inv[lay.surr_rows]
         present = counts[:, c:] > 0
         self.omega2 = np.zeros((steps, 2 * c, 1))
+        omega2 = self.omega2.reshape(steps, 2, c)  # [stage 1; stage 2] weights per step
         if hyper.lambda1 > 0:
             shared = (counts[:, :c] > 0) & present
-            self.omega2[:, :c, 0] = shared * (
-                2.0 * hyper.lambda1 / np.maximum(shared.sum(axis=1, keepdims=True), 1))
+            omega2[:, 0] = shared
+            omega2[:, 0] *= (2.0 * hyper.lambda1 / np.maximum(shared.sum(axis=1), 1))[:, None]
         if self.prototypes is not None:
-            self.omega2[:, c:, 0] = present * (
-                2.0 * hyper.lambda2 / present.sum(axis=1, keepdims=True))
+            omega2[:, 1] = present
+            omega2[:, 1] *= (2.0 * hyper.lambda2 / present.sum(axis=1))[:, None]
 
     def loss_and_grad(self, model: MlpModel, start: int = 0) -> tuple[float, np.ndarray]:
         """Composite loss and exact gradient of the step whose local rows start at `start`."""
@@ -350,9 +378,12 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
     place. `step_offset`, when given, is added to every step's displacement
     after momentum smoothing (control-variate style). A `DivergedError`
     from a step is raised again naming the round and the client, without
-    overflow warnings on the way. Returns (delta, end model, steps).
+    overflow warnings on the way. The trainee is the template's scratch
+    model, and the shared kernel keeps no epoch rows once training ends.
+    Returns (delta, end model, steps).
     """
-    model = unflatten_like(template, theta_start.copy())
+    model = template.scratch("trainee")
+    np.copyto(model.theta, theta_start)
     velocity = np.zeros_like(theta_start)
     n = len(client.shard)
     bs = min(hyper.batch_size, n)
@@ -368,6 +399,8 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
                                                   else velocity + step_offset)
     except DivergedError as err:
         raise DivergedError(str(err), round_index, client.id) from None
+    finally:
+        template.shared_kernel(0).release()
     return model.theta - theta_start, model, hyper.local_epochs * -(-n // bs)
 
 
@@ -379,38 +412,57 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     """One client's round: rectified steps over the composite objective.
 
     The non-self gradient is fixed for the round, so its shift is computed
-    once and re-applied at every iteration. With a surrogate term on, each
-    epoch draws its steps' surrogate minibatches in step order and lays
-    the epoch out as one `EpochPlan`; with rectification and all surrogate
-    terms disabled this trajectory is bit-identical to FedAvg's. Returns
-    the delta and fresh local prototypes over the full surrogate set.
+    once (`_shift`) and re-applied at every iteration, at the template's
+    scratch point. With a surrogate term on, each epoch draws its steps'
+    surrogate minibatches in step order and lays the epoch out as one
+    `EpochPlan`; with rectification and all surrogate terms disabled this
+    trajectory is bit-identical to FedAvg's.
+    Returns the delta and fresh local prototypes over the full surrogate set.
     """
-    if nsg is not None and hyper.nsg_sign == -1.0:
-        nsg = -nsg
-    shift = rectification_shift(nsg, hyper.lambda_g)
-    at = None if shift is None else MlpModel(  # scratch model for theta + shift
-        template.extractor, template.classifier, theta=np.empty(template.num_params))
+    shift = _shift(template, nsg, hyper)
+    at = None if shift is None else template.scratch("rectified point")
 
     cycler = (_batch_cycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
               if hyper.uses_surrogate else None)
 
+    # the shift stands for the nsg: with none, a step takes the unperturbed gradient
     def epoch_grad(rows):
         if cycler is None:
             objective = _ce_objective(dataset, rows, hyper, template)
             return lambda model, start, stop: rectified_gradient(
-                model, nsg, hyper.lambda_g, lambda m: objective(m, start, stop), shift, at)
+                model, None, hyper.lambda_g, lambda m: objective(m, start, stop), shift, at)
 
         bs = min(hyper.batch_size, len(rows))
         batches = np.array(list(islice(cycler, -(-len(rows) // bs))))
         plan = EpochPlan(dataset.features, dataset.labels, hyper.batch_size, surrogate.features,
                          surrogate.labels, batches, global_prototypes, hyper, template, rows,
-                         template.shared_kernel(bs + batches.shape[1]))
+                         template.shared_kernel(hyper.batch_size + batches.shape[1]))
         return lambda model, start, stop: rectified_gradient(
-            model, nsg, hyper.lambda_g, lambda m: plan.loss_and_grad(m, start), shift, at)
+            model, None, hyper.lambda_g, lambda m: plan.loss_and_grad(m, start), shift, at)
 
     delta, model_end, _ = _local_sgd(client, template, theta_global, hyper,
                                      epoch_grad, round_index)
     return delta, compute_local_prototypes(model_end, surrogate)
+
+
+def _shift(template: MlpModel, nsg: np.ndarray | None, hyper: FedGpsHyper):
+    """`rectification_shift` of nsg with its sign applied, computed once per
+    distinct vector. The template keeps the last two vectors and their
+    shifts for the run, so the clients that share a round's non-self
+    gradient reuse it, with a client of its own in between."""
+    if nsg is None:
+        return None
+    memo = template.kept("shifts", list)  # (lambda_g, nsg_sign, nsg, shift), newest first
+    for i, (lambda_g, sign, seen, shift) in enumerate(memo):
+        if ((lambda_g, sign) == (hyper.lambda_g, hyper.nsg_sign) and seen[0] == nsg[0]
+                and np.array_equal(seen, nsg)):
+            memo.insert(0, memo.pop(i))
+            return shift
+    signed = -nsg if hyper.nsg_sign == -1.0 else nsg
+    shift = rectification_shift(signed, hyper.lambda_g)
+    memo[1:] = memo[:1]
+    memo.insert(0, (hyper.lambda_g, hyper.nsg_sign, nsg.copy(), shift))
+    return shift
 
 
 def _ce_objective(dataset: LabeledDataset, rows: np.ndarray, hyper: FedGpsHyper,
@@ -420,7 +472,7 @@ def _ce_objective(dataset: LabeledDataset, rows: np.ndarray, hyper: FedGpsHyper,
     bs = min(hyper.batch_size, len(rows))
     x = augment(template, dataset.features[rows])
     flat = np.arange(len(rows)) % bs * template.num_classes + dataset.labels[rows]
-    kernel = template.shared_kernel(bs)
+    kernel = template.shared_kernel(hyper.batch_size)
     return lambda model, start, stop: ce_loss_and_grad(
         model, x[start:stop], flat[start:stop], hyper.lambda3, kernel)
 

@@ -12,6 +12,7 @@ import csv
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,24 @@ class LabeledDataset:
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
 
+    @cached_property
+    def augmented(self) -> np.ndarray:
+        """The features with a trailing ones column, the input layout of
+        `nn.Kernel`; made at first use and kept with the dataset."""
+        return np.concatenate([self.features, np.ones((len(self), 1))], axis=1)
+
+    @cached_property
+    def indicator(self) -> tuple[np.ndarray, np.ndarray]:
+        """`class_indicator` of the labels, made at first use and kept."""
+        return class_indicator(self.labels, self.num_classes)
+
+
+def class_indicator(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (num_classes, n) one-hot matrix of `labels` and each class's count,
+    so (onehot @ rows) sums each class's rows."""
+    return (np.equal.outer(np.arange(num_classes), labels).astype(np.float64),
+            np.bincount(labels, minlength=num_classes))
+
 
 @dataclass
 class SurrogateSpec:
@@ -84,13 +103,51 @@ class SurrogateSpec:
         self.class_means = np.asarray(self.class_means, dtype=np.float64)
         if self.class_means.shape != (self.num_classes, self.input_dim):
             raise DataError("class_means must be (num_classes, input_dim)")
-        if self.class_std < 0:
-            raise DataError("class_std must be >= 0")
-        if self.n_per_class < 1:
-            raise DataError("n_per_class must be >= 1")
+        _raise_any(surrogate_problems(self.n_per_class, self.class_std), DataError)
         rows = self.class_means
         if any((rows[c + 1:] == rows[c]).all(axis=1).any() for c in range(len(rows))):
             raise DataError("class means must be pairwise distinct")
+
+
+def _raise_any(problems: list[str], error: type[Exception]) -> None:
+    """Raise `error` naming every problem of a `*_problems` list, if any."""
+    if problems:
+        raise error("; ".join(problems))
+
+
+def surrogate_problems(n_per_class: int, class_std: float,
+                       names=("n_per_class", "class_std")) -> list[str]:
+    """The rules on a surrogate's size and spread that these values break,
+    each named as the caller calls the field."""
+    problems = [f"{names[0]} must be >= 1"] if n_per_class < 1 else []
+    return problems + ([f"{names[1]} must be >= 0"] if class_std < 0 else [])
+
+
+def blob_problems(num_classes: int, input_dim: int, n_per_class: int,
+                  noise_std: float) -> list[str]:
+    """The rules on `gen_blobs`' counts and noise that these values break."""
+    problems = ["blob counts must be >= 1"] if min(num_classes, input_dim, n_per_class) < 1 else []
+    return problems + (["noise_std must be >= 0"] if noise_std < 0 else [])
+
+
+def split_problems(test_fraction: float) -> list[str]:
+    """The rule on `stratified_split`'s holdout fraction, if it is broken."""
+    return [] if 0 < test_fraction < 1 else ["test_fraction must be in (0, 1)"]
+
+
+def dirichlet_problems(alpha: float) -> list[str]:
+    """The rule on `dirichlet_partition`'s concentration, if it is broken."""
+    return ["alpha must be > 0"] if alpha <= 0 else []
+
+
+def cn_problems(classes_per_client: int, num_classes: int | None = None) -> list[str]:
+    """The rule on `cn_partition`'s classes per client, if it is broken; the
+    upper bound applies once the labels' class count is known."""
+    if num_classes is None:
+        return [] if classes_per_client >= 1 else ["classes_per_client must be >= 1"]
+    if 1 <= classes_per_client <= num_classes:
+        return []
+    return [f"classes_per_client must be in [1, {num_classes}], the classes the labels hold"]
 
 
 def make_surrogate_spec(num_classes: int, input_dim: int, seed: int,
@@ -129,10 +186,7 @@ def gen_blobs(num_classes: int, input_dim: int, n_per_class: int,
     Centers are standard normal draws scaled by `separation`; class c's
     points are center_c + noise_std * N(0, I). Deterministic per seed.
     """
-    if num_classes < 1 or input_dim < 1 or n_per_class < 1:
-        raise DataError("counts must be >= 1")
-    if noise_std < 0:
-        raise DataError("noise_std must be >= 0")
+    _raise_any(blob_problems(num_classes, input_dim, n_per_class, noise_std), DataError)
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, input_dim)) * separation
     return _gaussian_classes(centers, noise_std, n_per_class, rng)
@@ -234,8 +288,7 @@ def dirichlet_partition(labels, num_clients: int, alpha: float, seed: int,
     The whole partition is re-drawn (up to `max_retries`) whenever a shard
     ends up empty, which small alpha makes likely.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    _raise_any(dirichlet_problems(alpha), ValueError)
     if num_clients < 2:
         raise ValueError("need at least 2 clients")
     labels = np.asarray(labels, dtype=np.int64)
@@ -279,9 +332,7 @@ def cn_partition(labels, num_clients: int, classes_per_client: int, seed: int) -
     labels = np.asarray(labels, dtype=np.int64)
     num_classes = int(labels.max()) + 1
     n_cls = classes_per_client
-    if not 1 <= n_cls <= num_classes:
-        raise PartitionError(
-            f"classes_per_client must be in [1, {num_classes}], the classes the labels hold")
+    _raise_any(cn_problems(n_cls, num_classes), PartitionError)
     if num_clients * n_cls < num_classes:
         raise PartitionError(
             f"cannot cover {num_classes} classes with {num_clients} clients "
@@ -312,8 +363,7 @@ def cn_partition(labels, num_clients: int, classes_per_client: int, seed: int) -
 def stratified_split(dataset: LabeledDataset, test_fraction: float,
                      seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Per-class seeded holdout; returns (train, test)."""
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must be in (0, 1)")
+    _raise_any(split_problems(test_fraction), ValueError)
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for c in range(dataset.num_classes):

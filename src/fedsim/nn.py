@@ -11,9 +11,14 @@ theta, and `unflatten_like` builds a model over a given vector.
 Every pass runs through a `Kernel`: with a trailing ones column on each
 layer's input, a layer is one product [h, 1] @ [W; b], and backward's
 [h, 1]^T @ dz is the weight and bias gradient at once. `forward`, `embed`
-and `backward` make a kernel per batch and return fresh arrays; the
-local trainers step on their template's `shared_kernel`, which each step
-overwrites.
+and `backward` make a kernel per batch and return fresh arrays.
+
+A run's template model keeps what the run reuses, each made once per run
+at first use: the `shared_kernel` its trainers step on, the forward-only
+`inference_kernel` for prototypes, test accuracy and the monitor, and
+`scratch` models (the trainee, the rectified point), which share the
+template's kernels. Each use overwrites the last, and the trainers
+`release` their rows from the shared kernel when local training ends.
 """
 from __future__ import annotations
 
@@ -59,7 +64,7 @@ class MlpModel:
             raise ShapeError(f"expected flat vector of length {size}, got {self.theta.shape}")
         self.blocks = _blocks(self.theta, self.widths)
         *self.extractor, self.classifier = [(blk[:-1], blk[-1]) for blk in self.blocks]
-        self._kernel = None
+        self._kernels, self._kept = {}, {}  # see `kept`; scratch models share the kernels
 
     @property
     def input_dim(self) -> int:
@@ -83,9 +88,36 @@ class MlpModel:
     def shared_kernel(self, rows: int) -> Kernel:
         """A kernel for any model of this shape with room for `rows`, kept on
         this model and remade only to grow; each use overwrites the last."""
-        if self._kernel is None or self._kernel.capacity < rows:
-            self._kernel = Kernel(self.widths, rows)
-        return self._kernel
+        return self._kernel("train", rows)
+
+    def inference_kernel(self, rows: int) -> Kernel:
+        """Like `shared_kernel`, a second kernel for forwards that take no
+        `backward`, so inference never evicts a trainer's rows or buffers."""
+        return self._kernel("infer", rows)
+
+    def _kernel(self, key: str, rows: int) -> Kernel:
+        kernel = self._kernels.get(key)
+        if kernel is None or kernel.capacity < rows:
+            kernel = self._kernels[key] = Kernel(self.widths, rows)
+        return kernel
+
+    def kept(self, key: str, make):
+        """The object this model keeps under `key`, made by `make()` at the
+        first call: per-run state of the code that uses it as a template.
+        What is kept must not refer back to the model, so that a run's state
+        is freed with its template, without waiting for the cycle collector."""
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
+
+    def scratch(self, key: str) -> MlpModel:
+        """A model of this shape over its own vector, kept under `key`; it
+        shares this model's kernels, and each user overwrites it."""
+        def make():
+            model = MlpModel(self.extractor, self.classifier, theta=np.empty(self.num_params))
+            model._kernels = self._kernels
+            return model
+        return self.kept(key, make)
 
 
 def _blocks(flat: np.ndarray, widths) -> list[np.ndarray]:
@@ -106,7 +138,9 @@ class Kernel:
     once) and rectifies the whole, contiguous buffer in place. `backward`
     fills dh, the masks (each activation's sign) and one gradient vector,
     made at its first call. n rows use each buffer's first n: the same
-    strides and bits as a kernel of n rows, with views rebuilt when n changes.
+    strides and bits as a kernel of n rows. The views of each row count are
+    made once and kept; the input rows are not: a forward holds them until
+    the next forward or `release`.
     """
 
     def __init__(self, widths, capacity: int):
@@ -116,15 +150,24 @@ class Kernel:
             a[:, -1] = 1.0
         self._logits = np.empty((capacity, self.widths[-1]))
         self.grad = None
+        self._views = {}
 
     def _rows(self, n: int) -> None:
-        self.n = n
-        self._a = self._a[:1] + [a[:n] for a in self._aug]  # layer i's augmented input
-        self.acts = [a[:, :-1] for a in self._a[1:]]  # each hidden activation
-        self.logits = self._logits[:n]
-        if self.grad is not None:
-            self._d, self._s = [d[:n] for d in self._dh], [s[:n] for s in self._sign]
-            self._m = [s[:, :-1] for s in self._s]
+        if n not in self._views:
+            aug = [a[:n] for a in self._aug]  # layers 1.. augmented inputs
+            views = (aug, [a[:, :-1] for a in aug], self._logits[:n])  # activations, logits
+            if self.grad is not None:
+                sign = [s[:n] for s in self._sign]
+                views += ([d[:n] for d in self._dh], sign, [s[:, :-1] for s in sign])
+            self._views[n] = views
+        aug, self.acts, self.logits, *grad = self._views[n]
+        self.n, self._a = n, [self._a[0], *aug]
+        if grad:
+            self._d, self._s, self._m = grad
+
+    def release(self) -> None:
+        """Drop the last forward's input rows, so the kernel keeps them from no one."""
+        self._a[0] = None
 
     @property
     def inputs(self) -> np.ndarray:
@@ -155,6 +198,7 @@ class Kernel:
             self._sign = [np.empty_like(a) for a in self._aug]
             self.grad = np.empty(model.num_params)
             self._g = _blocks(self.grad, self.widths)
+            self._views.clear()
             self._rows(self.n)
         a, top, dz = self._a, len(self.acts), dlogits
         for i in range(top, -1, -1):

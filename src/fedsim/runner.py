@@ -6,13 +6,19 @@ Determinism contract: identical configs (seeds included) produce byte-
 identical numeric artifacts; only wallclock fields vary. One master seed
 per concern fans out through named `SeedSequence` keys, so toggling one
 component (say, the algorithm) never perturbs another's stream.
+
+A run lays out its constants once: the test, surrogate and probe sets
+keep their augmented inputs (and the surrogate and probe their class
+indicators) from first use, and `run_one` makes the template's one
+inference kernel at the size of the run's largest inference forward.
+Within a round, every client that sat out the last round trains against
+one non-self gradient, built once.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import json
-import math
 import os
 import time
 import zlib
@@ -98,12 +104,9 @@ class ExperimentConfig(alg.FedGpsHyper):
         if self.dataset_kind == "csv" and (not self.csv_path or not Path(self.csv_path).exists()):
             problems.append(f"csv file not found: {self.csv_path!r}")
         if self.dataset_kind == "blobs":
-            if min(self.num_classes, self.input_dim, self.n_per_class) < 1:
-                problems.append("blob counts must be >= 1")
-            if self.noise_std < 0:
-                problems.append("noise_std must be >= 0")
-        if not 0 < self.test_fraction < 1:
-            problems.append("test_fraction must be in (0, 1)")
+            problems += dat.blob_problems(self.num_classes, self.input_dim, self.n_per_class,
+                                          self.noise_std)
+        problems += dat.split_problems(self.test_fraction)
         if self.num_clients < 2:
             problems.append("num_clients must be >= 2")
         if not 0 < self.sample_rate <= 1:
@@ -115,12 +118,12 @@ class ExperimentConfig(alg.FedGpsHyper):
         problems += alg.hyper_problems(self)
         if self.partition_kind not in ("dirichlet", "cn"):
             problems.append(f"partition_kind must be dirichlet/cn, got {self.partition_kind!r}")
-        if self.partition_kind == "dirichlet" and self.alpha <= 0:
-            problems.append("alpha must be > 0")
-        # a file's class count is known once it is read; the partitioner checks it there
-        most = self.num_classes if self.dataset_kind == "blobs" else math.inf
-        if self.partition_kind == "cn" and not 1 <= self.classes_per_client <= most:
-            problems.append("classes_per_client must be in [1, num_classes]")
+        if self.partition_kind == "dirichlet":
+            problems += dat.dirichlet_problems(self.alpha)
+        if self.partition_kind == "cn":
+            # a file's class count is known once it is read; the partitioner checks it there
+            problems += dat.cn_problems(self.classes_per_client, self.num_classes
+                                        if self.dataset_kind == "blobs" else None)
         if not self.scenario_seeds or not self.training_seeds:
             problems.append("scenario_seeds and training_seeds must be non-empty")
         seeds = {"data_seed": [self.data_seed], "surrogate_seed": [self.surrogate_seed],
@@ -132,10 +135,8 @@ class ExperimentConfig(alg.FedGpsHyper):
             problems.append("path rectification needs at least 2 sampled clients per round")
         if self.prototype_agg not in ("mean", "sum"):
             problems.append("prototype_agg must be mean or sum")
-        if self.surrogate_n_per_class < 1:
-            problems.append("surrogate_n_per_class must be >= 1")
-        if self.surrogate_std < 0:
-            problems.append("surrogate_std must be >= 0")
+        problems += dat.surrogate_problems(self.surrogate_n_per_class, self.surrogate_std,
+                                           names=("surrogate_n_per_class", "surrogate_std"))
         if not self.hidden or min(self.hidden) < 1:
             problems.append("hidden must list one or more widths, each >= 1")
         if self.workers < 1:
@@ -211,7 +212,9 @@ def build_partition(config: ExperimentConfig, labels, scenario_seed: int) -> dat
 
 
 def accuracy(template: nn.MlpModel, theta: np.ndarray, dataset: dat.LabeledDataset) -> float:
-    logits = nn.forward(nn.unflatten_like(template, theta), dataset.features).logits
+    """Accuracy of theta on the dataset's kept inputs, on the template's inference kernel."""
+    kernel = template.inference_kernel(len(dataset))
+    logits = kernel.forward(nn.unflatten_like(template, theta), dataset.augmented).logits
     return float(np.mean(logits.argmax(axis=1) == dataset.labels))
 
 
@@ -249,24 +252,37 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads,
     features' distance to the global prototypes is covered by the two
     alignment stages plus the measured extractor discrepancy. Client k
     ended the round at `theta_start + deltas[k]`; `uploads` holds the
-    clients' prototype matrices, over the full surrogate set: no class absent."""
+    clients' prototype matrices, over the full surrogate set: no class absent.
+    Every embedding runs on the template's inference kernel: the probe's on
+    its kept inputs and class indicator, a shard's on its rows gathered
+    into a buffer that the template keeps, with the ones column set once."""
+    most = max(map(len, partition.shards))
+    kernel = template.inference_kernel(max(len(probe), most))
+    shard_rows = template.kept("monitor rows", lambda: np.ones((most, train.input_dim + 1)))
+
+    def embed(model, x):
+        return kernel.forward(model, x, classify=False).embeddings
+
     global_model = nn.unflatten_like(template, server.global_params)
-    g_means, g_counts = alg._class_means(nn.embed(global_model, probe.features),
-                                         probe.labels, probe.num_classes)
+    g_means, g_counts = alg._means_by_class(embed(global_model, probe.augmented),
+                                            *probe.indicator)
     proto_counts = np.ones(probe.num_classes, dtype=np.int64)
     lhs = ev.class_mean_distance(g_means, g_counts, server.global_prototypes, proto_counts)
 
     eps1, eps2, kappas = [], [], []
+    local_model = template.scratch("monitor")
     for k in selected:
-        local_model = nn.unflatten_like(template, theta_start + deltas[k])
+        np.add(theta_start, deltas[k], out=local_model.theta)
         shard = partition.shards[k]
-        l_means, l_counts = alg._class_means(nn.embed(local_model, train.features[shard]),
-                                             train.labels[shard], train.num_classes)
+        x = shard_rows[:len(shard)]
+        x[:, :-1] = train.features[shard]
+        l_means, l_counts = alg._class_means(embed(local_model, x), train.labels[shard],
+                                             train.num_classes)
         eps1.append(ev.class_mean_distance(l_means, l_counts, uploads[k], proto_counts))
         eps2.append(ev.class_mean_distance(uploads[k], proto_counts,
                                            server.global_prototypes, proto_counts))
-        k_means, k_counts = alg._class_means(nn.embed(local_model, probe.features),
-                                             probe.labels, probe.num_classes)
+        k_means, k_counts = alg._means_by_class(embed(local_model, probe.augmented),
+                                                *probe.indicator)
         kappas.append(ev.class_mean_distance(k_means, k_counts, g_means, g_counts))
     rhs = max(eps1) + max(eps2) + max(kappas)
     return {"triangle_lhs": lhs, "triangle_rhs": rhs,
@@ -274,23 +290,33 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads,
 
 
 def _non_self_gradient(config: ExperimentConfig, server: proto.ServerState,
-                       client: proto.ClientState) -> np.ndarray | None:
+                       client: proto.ClientState, shared: dict) -> np.ndarray | None:
     """The non-self gradient `client` trains against this round, or None
     while there is none: `fedgps` builds it on the server from the other
     clients' last deltas, `fedgps_cf` from the last global change less the
     client's own last delta, which `server.prev_deltas` holds while the
-    client was among the last round's participants."""
-    if config.algo == "fedgps":
-        if any(j != client.id for j in server.prev_selected):
-            return proto.non_self_gradient(server, client.id, config.eta_g, config.eta_l)
-        return None
+    client was among the last round's participants.
+
+    Every client that sat out the last round gets the same vector: all of
+    the last round's deltas, or the whole global change. It is built for
+    the first such client and kept in `shared`, which lives for the round.
+    """
     if server.prev_global_delta is None:
         return None
-    own = None
-    if client.id in server.prev_selected:
-        # remove this client's contribution to the applied global change:
-        # eta_g * Delta_k / |S_{t-1}|
-        own = config.eta_g * server.prev_deltas[client.id] / len(server.prev_selected)
+    if client.id not in server.prev_selected:
+        if "absent" not in shared:
+            shared["absent"] = (
+                proto.non_self_gradient(server, client.id, config.eta_g, config.eta_l)
+                if config.algo == "fedgps" else
+                proto.non_self_gradient_cf(server.prev_global_delta, None))
+        return shared["absent"]
+    if config.algo == "fedgps":
+        if len(server.prev_selected) > 1:
+            return proto.non_self_gradient(server, client.id, config.eta_g, config.eta_l)
+        return None
+    # remove this client's contribution to the applied global change:
+    # eta_g * Delta_k / |S_{t-1}|
+    own = config.eta_g * server.prev_deltas[client.id] / len(server.prev_selected)
     return proto.non_self_gradient_cf(server.prev_global_delta, own)
 
 
@@ -314,6 +340,12 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
 
     template = nn.init_mlp(train.input_dim, tuple(config.hidden), train.num_classes,
                            stream(training_seed, "init"))
+    # one inference kernel, made here at its final size, serves every test,
+    # prototype and monitor forward of the run
+    inference_rows = [len(test)]
+    if config.algo in RECTIFIED:
+        inference_rows += [len(surrogate), *map(len, partition.shards)]
+    template.inference_kernel(max(inference_rows))
     theta0 = nn.flatten(template)
     server = proto.ServerState(
         global_params=theta0.copy(), eta_g=config.eta_g,
@@ -344,6 +376,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         deltas: dict[int, np.ndarray] = {}
         uploads: dict[int, np.ndarray] = {}
         control_updates = {}
+        shared_nsg = {}  # the round's non-self gradient of clients absent last round
         try:
             for k in selected:
                 if k not in clients:
@@ -355,9 +388,9 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                         client_controls[k] = np.zeros_like(theta0)
                 client = clients[k]
                 if config.algo in RECTIFIED:
+                    nsg = _non_self_gradient(config, server, client, shared_nsg)
                     deltas[k], protos = alg.fedgps_local_train(
-                        client, template, server.global_params,
-                        _non_self_gradient(config, server, client), train, surrogate,
+                        client, template, server.global_params, nsg, train, surrogate,
                         server.global_prototypes, hyper, round_index=t)
                     uploads[k] = proto.upload_prototypes(server, k, protos.means)
                 elif config.algo == "fedprox":

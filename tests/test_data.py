@@ -271,3 +271,42 @@ class TestSplitsAndExport:
         loaded = dat.Partition.load_jsonl(path)
         for s1, s2 in zip(part.shards, loaded.shards):
             assert np.array_equal(s1, s2)
+
+
+class TestDataRules:
+    """Each data rule lives in one `*_problems` function, which both the
+    builder and `ExperimentConfig.validate` call."""
+
+    RULES = {  # helper: (config overrides that break it, the builder call it guards)
+        "blob_problems": (dict(n_per_class=0), lambda: dat.gen_blobs(3, 4, 5, 1.0, 1.0, 0)),
+        "split_problems": (dict(test_fraction=1.5), lambda: dat.stratified_split(
+            dat.gen_blobs(3, 4, 5, 1.0, 1.0, 0), 0.2, 0)),
+        "dirichlet_problems": (dict(alpha=0.0), lambda: dat.dirichlet_partition(
+            np.repeat(np.arange(3), 10), 3, 1.0, 0)),
+        "cn_problems": (dict(partition_kind="cn", classes_per_client=0), lambda: dat.cn_partition(
+            np.repeat(np.arange(3), 10), 3, 1, 0)),
+        "surrogate_problems": (dict(surrogate_std=-1.0), lambda: dat.make_surrogate_spec(3, 4, 0)),
+    }
+
+    @pytest.mark.parametrize("helper", sorted(RULES))
+    def test_builder_and_validate_share_the_rule(self, helper, monkeypatch):
+        from fedsim import runner
+        overrides, build = self.RULES[helper]
+        build()  # the builder accepts good values
+        monkeypatch.setattr(dat, helper, lambda *args, **kwargs: ["the one rule broke"])
+        with pytest.raises((ValueError, dat.DataError), match="the one rule broke"):
+            build()
+        with pytest.raises(runner.ConfigError, match="the one rule broke"):
+            runner.ExperimentConfig(**overrides).validate()
+
+    def test_messages(self):
+        assert dat.blob_problems(0, 4, 5, -1.0) == ["blob counts must be >= 1",
+                                                     "noise_std must be >= 0"]
+        assert dat.split_problems(0.0) == ["test_fraction must be in (0, 1)"]
+        assert dat.dirichlet_problems(0.0) == ["alpha must be > 0"]
+        assert dat.cn_problems(0) == ["classes_per_client must be >= 1"]
+        assert dat.cn_problems(4, 3) == [
+            "classes_per_client must be in [1, 3], the classes the labels hold"]
+        assert dat.surrogate_problems(0, -1.0) == ["n_per_class must be >= 1",
+                                                   "class_std must be >= 0"]
+        assert dat.surrogate_problems(1, 0.0) == dat.cn_problems(3, 3) == []

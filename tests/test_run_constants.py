@@ -1,0 +1,294 @@
+"""What a run lays out once: the kept inference inputs and kernel, the
+round's shared non-self gradient and shift, the client scratch models and
+the epoch-plan layout. Each fast path against the simple reference path it
+replaced, bit for bit, plus counts that pin the work to once per run."""
+import collections
+import dataclasses
+import weakref
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from fedsim import algorithms as alg
+from fedsim import data as dat
+from fedsim import eval as ev
+from fedsim import nn
+from fedsim import protocol as proto
+from fedsim import runner
+
+
+def make_client(shard, seed=0, cid=0):
+    return proto.ClientState(id=cid, shard=np.asarray(shard),
+                             data_rng=np.random.default_rng(seed),
+                             surrogate_rng=np.random.default_rng(seed + 1000))
+
+
+def blobs_and_surrogate(classes=4, dim=5, seed=0):
+    train = dat.gen_blobs(classes, dim, 30, 2.0, 0.7, seed)
+    surrogate = dat.gen_surrogate(dat.make_surrogate_spec(classes, dim, seed + 1, n_per_class=6))
+    return train, surrogate
+
+
+class TestKeptInferenceInputs:
+    @pytest.mark.parametrize("hidden", [(), (6,), (7, 5)])
+    def test_prototypes_match_class_means_of_embed(self, hidden):
+        train, surrogate = blobs_and_surrogate()
+        model = nn.init_mlp(5, hidden, 4, np.random.default_rng(1))
+        model.inference_kernel(len(train))  # room for more rows than the surrogate
+        for step in range(3):
+            model.theta += 0.3 * np.random.default_rng(step).standard_normal(model.num_params)
+            if step == 1:  # another row count on the same kernel in between
+                model.inference_kernel(1).forward(model, train.augmented[:7])
+            got = alg.compute_local_prototypes(model, surrogate)
+            means, counts = alg._class_means(nn.embed(model, surrogate.features),
+                                             surrogate.labels, surrogate.num_classes)
+            assert np.array_equal(got.means, means) and np.array_equal(got.counts, counts)
+
+    def test_kept_inputs_equal_their_formulas(self):
+        _, surrogate = blobs_and_surrogate()
+        model = nn.init_mlp(5, (6,), 4, np.random.default_rng(2))
+        assert surrogate.augmented is surrogate.augmented
+        assert np.array_equal(surrogate.augmented, nn.augment(model, surrogate.features))
+        onehot, counts = surrogate.indicator
+        assert np.array_equal(onehot, np.equal.outer(np.arange(4), surrogate.labels))
+        assert np.array_equal(counts, np.bincount(surrogate.labels, minlength=4))
+
+    def test_accuracy_matches_forward(self):
+        train, _ = blobs_and_surrogate(seed=3)
+        test = train.subset(np.arange(0, len(train), 3))
+        template = nn.init_mlp(5, (8, 4), 4, np.random.default_rng(4))
+        template.inference_kernel(len(train))
+        for seed, ds in enumerate([test, train, test]):
+            theta = 2.0 * np.random.default_rng(seed).standard_normal(template.num_params)
+            logits = nn.forward(nn.unflatten_like(template, theta), ds.features).logits
+            assert runner.accuracy(template, theta, ds) == np.mean(
+                logits.argmax(axis=1) == ds.labels)
+
+
+def reference_triangle(template, server, selected, theta_start, deltas, uploads, train,
+                       partition, probe):
+    """The monitor with a fresh `nn.embed` and `_class_means` per forward."""
+    def means(model, ds_x, labels):
+        return alg._class_means(nn.embed(model, ds_x), labels, train.num_classes)
+    g_means, g_counts = means(nn.unflatten_like(template, server.global_params),
+                              probe.features, probe.labels)
+    ones = np.ones(train.num_classes, dtype=np.int64)
+    lhs = ev.class_mean_distance(g_means, g_counts, server.global_prototypes, ones)
+    eps1, eps2, kappas = [], [], []
+    for k in selected:
+        local = nn.unflatten_like(template, theta_start + deltas[k])
+        shard = partition.shards[k]
+        l_means, l_counts = means(local, train.features[shard], train.labels[shard])
+        eps1.append(ev.class_mean_distance(l_means, l_counts, uploads[k], ones))
+        eps2.append(ev.class_mean_distance(uploads[k], ones, server.global_prototypes, ones))
+        k_means, k_counts = means(local, probe.features, probe.labels)
+        kappas.append(ev.class_mean_distance(k_means, k_counts, g_means, g_counts))
+    rhs = max(eps1) + max(eps2) + max(kappas)
+    return {"triangle_lhs": lhs, "triangle_rhs": rhs, "triangle_kappa": max(kappas),
+            "triangle_holds": bool(lhs <= rhs)}
+
+
+def test_monitor_fields_match_reference():
+    train, _ = blobs_and_surrogate(seed=5)
+    probe = train.subset(np.arange(0, len(train), 4))
+    partition = dat.dirichlet_partition(train.labels, 5, 0.5, seed=6)
+    template = nn.init_mlp(5, (8, 6), 4, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    theta_start = template.theta.copy()
+    for rnd, selected in enumerate([[0, 2, 3], [1, 4], [0, 1, 2, 3, 4]]):
+        server = proto.ServerState(global_params=theta_start + 0.1 * rng.standard_normal(
+            template.num_params), global_prototypes=rng.standard_normal((4, 6)))
+        deltas = {k: 0.2 * rng.standard_normal(template.num_params) for k in selected}
+        uploads = {k: rng.standard_normal((4, 6)) for k in selected}
+        args = (template, server, selected, theta_start, deltas, uploads, train, partition,
+                probe)
+        got, want = runner._triangle_fields(*args), reference_triangle(*args)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (rnd, key)
+
+
+class TestRoundNonSelfGradient:
+    """Clients that sat out the last round share one vector and one shift;
+    a re-selected client gets its own, as the per-client formulas give."""
+
+    def server(self):
+        rng = np.random.default_rng(9)
+        server = proto.ServerState(global_params=rng.standard_normal(40), eta_g=0.7)
+        for selected in ([0, 1, 2], [1, 3, 4]):
+            proto.aggregate(server, {k: rng.standard_normal(40) for k in selected})
+        return server
+
+    @pytest.mark.parametrize("algo", ["fedgps", "fedgps_cf"])
+    @pytest.mark.parametrize("nsg_sign", [1.0, -1.0])
+    def test_shared_vector_and_shift_match_per_client(self, algo, nsg_sign):
+        cfg = runner.ExperimentConfig(algo=algo, eta_g=0.7, eta_l=0.03, nsg_sign=nsg_sign,
+                                      lambda_g=0.4)
+        server, shared = self.server(), {}
+        template = nn.init_mlp(3, (4,), 2, np.random.default_rng(10))
+        hyper = cfg.hyper()
+        seen = {}
+        for k in [0, 1, 2, 3, 5]:  # fresh, re-selected, fresh, re-selected, fresh
+            nsg = runner._non_self_gradient(cfg, server, make_client([0], cid=k), shared)
+            if algo == "fedgps":
+                want = proto.non_self_gradient(server, k, cfg.eta_g, cfg.eta_l)
+            else:
+                own = (cfg.eta_g * server.prev_deltas[k] / len(server.prev_selected)
+                       if k in server.prev_selected else None)
+                want = proto.non_self_gradient_cf(server.prev_global_delta, own)
+            assert np.array_equal(nsg, want)
+            assert np.array_equal(alg._shift(template, nsg, hyper),
+                                  alg.rectification_shift(nsg_sign * want, cfg.lambda_g))
+            seen[k] = nsg
+        assert seen[0] is seen[2] is seen[5]
+        assert seen[1] is not seen[3] and not np.array_equal(seen[1], seen[3])
+
+    def test_shared_vector_built_once_per_round(self):
+        cfg = runner.ExperimentConfig(algo="fedgps")
+        server, shared = self.server(), {}
+        with mock.patch.object(proto, "non_self_gradient",
+                               wraps=proto.non_self_gradient) as spy:
+            for k in [0, 2, 5, 6, 7]:
+                runner._non_self_gradient(cfg, server, make_client([0], cid=k), shared)
+        assert spy.call_count == 1
+
+    def test_shift_follows_the_vector_not_its_identity(self):
+        template = nn.init_mlp(3, (4,), 2, np.random.default_rng(11))
+        hyper = alg.FedGpsHyper(lambda_g=0.3, nsg_sign=-1.0)
+        nsg = np.random.default_rng(12).standard_normal(template.num_params)
+        first = alg._shift(template, nsg, hyper)
+        nsg *= -2.0  # changed in place: the kept shift must not be reused
+        assert np.array_equal(alg._shift(template, nsg, hyper),
+                              alg.rectification_shift(-nsg, 0.3))
+        assert not np.array_equal(alg._shift(template, nsg, hyper), first)
+        other = alg.FedGpsHyper(lambda_g=0.6, nsg_sign=1.0)
+        assert np.array_equal(alg._shift(template, nsg, other),
+                              alg.rectification_shift(nsg, 0.6))
+
+
+class TestPlanLayout:
+    """A plan laid out from the kept layout against one laid out afresh."""
+
+    ARRAYS = ("x", "flat", "ce_weight", "mt", "omega2")
+
+    @pytest.mark.parametrize("n", [5, 45])  # one batch smaller than B; a ragged last batch
+    @pytest.mark.parametrize("lambda1,lambda2,surrogate_ce",
+                             [(0.3, 0.4, 1.0), (0.0, 0.0, 1.0), (0.3, 0.0, 0.0)])
+    def test_kept_layout_gives_the_fresh_plan(self, n, lambda1, lambda2, surrogate_ce):
+        train, surrogate = blobs_and_surrogate(seed=13)
+        hyper = alg.FedGpsHyper(lambda1=lambda1, lambda2=lambda2, surrogate_ce=surrogate_ce,
+                                batch_size=8)
+        protos = np.random.default_rng(14).standard_normal((4, 6))
+        template = nn.init_mlp(5, (7, 6), 4, np.random.default_rng(15))
+
+        def plan(model, size, seed):
+            order = np.random.default_rng(seed)
+            rows = order.permutation(len(train))[:size]
+            batches = np.array([order.permutation(len(surrogate))[:8]
+                                for _ in range(-(-size // min(8, size)))])
+            return alg.EpochPlan(train.features, train.labels, 8, surrogate.features,
+                                 surrogate.labels, batches, protos, hyper, model, rows)
+
+        # a shard of this size, another size, then this size twice: the last
+        # two reuse the kept layout, each checked against a model that has none
+        for i, size in enumerate([n, 12, n, n]):
+            kept = template.kept("plan layout", dict).get("layout")
+            reused = plan(template, size, 17 + i)
+            assert (template.kept("plan layout", dict)["layout"] is kept) == (i == 3)
+            fresh = plan(nn.unflatten_like(template, template.theta.copy()), size, 17 + i)
+            assert reused.n_local == fresh.n_local
+            for name in self.ARRAYS:
+                got, want = getattr(reused, name, None), getattr(fresh, name, None)
+                assert (got is None) == (want is None) and (
+                    got is None or np.array_equal(got, want)), name
+            assert (reused.mt is None) == (lambda1 == 0 and lambda2 == 0)
+            for start in range(0, size, min(8, size)):
+                a, b = reused.loss_and_grad(template, start), fresh.loss_and_grad(template, start)
+                assert a[0] == b[0] and np.array_equal(a[1], b[1])
+
+
+class TestClientScratch:
+    """After local training the template's kernels keep no epoch rows alive."""
+
+    def setup_method(self):
+        self.train, self.surrogate = blobs_and_surrogate(seed=19)
+        self.template = nn.init_mlp(5, (7, 6), 4, np.random.default_rng(20))
+        self.shard = np.arange(0, 120, 2)
+
+    def test_plan_rows_freed_after_fedgps(self):
+        refs, plan = [], alg.EpochPlan
+
+        def recording(*args):
+            made = plan(*args)
+            refs.append(weakref.ref(made.x))
+            return made
+
+        hyper = alg.FedGpsHyper(batch_size=16, local_epochs=2)
+        nsg = np.random.default_rng(21).standard_normal(self.template.num_params)
+        with mock.patch.object(alg, "EpochPlan", recording):
+            alg.fedgps_local_train(make_client(self.shard), self.template,
+                                   self.template.theta.copy(), nsg, self.train, self.surrogate,
+                                   None, hyper)
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+
+    def test_epoch_rows_freed_after_fedavg(self):
+        refs, ce = {}, alg.ce_loss_and_grad  # one epoch buffer per epoch, by identity
+
+        def recording(model, batch_x, *args):
+            refs.setdefault(id(batch_x.base), weakref.ref(batch_x.base))
+            return ce(model, batch_x, *args)
+
+        hyper = alg.FedGpsHyper(batch_size=16, local_epochs=2)
+        with mock.patch.object(alg, "ce_loss_and_grad", recording):
+            alg.fedavg_local_train(make_client(self.shard), self.template,
+                                   self.template.theta.copy(), self.train, hyper)
+        assert len(refs) == 2 and all(ref() is None for ref in refs.values())
+
+    def test_one_trainee_and_one_shifted_model_per_template(self):
+        hyper = alg.FedGpsHyper(batch_size=16)
+        nsg = np.random.default_rng(22).standard_normal(self.template.num_params)
+        with mock.patch.object(nn, "MlpModel", wraps=nn.MlpModel) as made:
+            for k in range(3):
+                alg.fedgps_local_train(make_client(self.shard, seed=k), self.template,
+                                       self.template.theta.copy(), nsg, self.train,
+                                       self.surrogate, None, hyper)
+        assert made.call_count == 2  # at the first client only
+
+
+def count_run_constants(config):
+    """nn.augment calls, nn.Kernel constructions and the datasets' kept
+    inputs and indicators, as each is computed, in one run_one."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    kept = [vars(dat.LabeledDataset)[name] for name in ("augmented", "indicator")]
+    with mock.patch.object(nn, "augment", counted("augment", nn.augment)), \
+            mock.patch.object(alg, "augment", counted("augment", nn.augment)), \
+            mock.patch.object(nn.Kernel, "__init__", counted("kernel", nn.Kernel.__init__)), \
+            mock.patch.object(kept[0], "func", counted("augmented", kept[0].func)), \
+            mock.patch.object(kept[1], "func", counted("indicator", kept[1].func)):
+        runner.run_one(config, 0, 0, write_artifacts=False)
+    return counts
+
+
+def test_inputs_and_kernels_made_once_per_run(tmp_path):
+    """Counts, unlike times, do not drift with the machine: a fedgps run
+    with the monitor on every round makes as many augmented inputs, class
+    indicators and kernels in 6 rounds as in 2: one shared and one
+    inference kernel, and no `nn.augment` at all."""
+    config = runner.ExperimentConfig(
+        num_classes=4, input_dim=6, n_per_class=40, separation=2.0, noise_std=0.8,
+        num_clients=5, sample_rate=0.6, alpha=0.5, hidden=(12, 6), surrogate_n_per_class=8,
+        batch_size=8, lambda_g=0.2, divergence_cadence=1, algo="fedgps",
+        out_dir=str(tmp_path))
+    short = count_run_constants(dataclasses.replace(config, rounds=2))
+    long = count_run_constants(dataclasses.replace(config, rounds=6))
+    assert short == long
+    # test, surrogate and probe inputs; surrogate and probe indicators
+    assert long == {"kernel": 2, "augmented": 3, "indicator": 2}
