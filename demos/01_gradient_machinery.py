@@ -49,8 +49,9 @@ print(f"finite-difference check, composite loss: max rel error {err:.2e}")
 # flatten/unflatten is a bijection and the checkpoint format round-trips
 theta = nn.flatten(model)
 rebuilt = nn.unflatten_like(model, theta)
+same_blocks = all(np.array_equal(a, b) for a, b in zip(model.blocks, rebuilt.blocks))
 print(f"flatten -> unflatten bit-exact: "
-      f"{all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) for a, b in zip(model._layers(), rebuilt._layers()))}")
+      f"{np.array_equal(rebuilt.theta, model.theta) and same_blocks}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "demo_model.bin")

@@ -1,17 +1,18 @@
 """Minimal dense network with exact manual backpropagation.
 
-The model is a stack of fully connected layers split into a feature
-extractor (linear + rectifier per layer) and a final linear classifier.
-All parameters live in one flat float64 vector, `model.theta`, the unit
-of all federated communication and arithmetic in this package. Layer i's
-segment, W (fan_in, fan_out) row-major and then b, is the row-major
-block [W; b] that `model.blocks[i]` views. `flatten` returns a copy of
-theta, and `unflatten_like` builds a model over a given vector.
+A model is rectified dense layers of the given `widths`, (input_dim,
+*hidden, num_classes), then a linear classifier. All parameters live in
+one flat float64 vector, `model.theta`, the unit of all federated
+communication and arithmetic in this package. Layer i's segment, W
+(fan_in, fan_out) row-major and then b, is the row-major block [W; b]
+that `model.blocks[i]` views; every pass reads the layers through these
+views. `flatten` returns a copy of theta, and `unflatten_like` builds a
+model over a given vector.
 
 Every pass runs through a `Kernel`: with a trailing ones column on each
 layer's input, a layer is one product [h, 1] @ [W; b], and backward's
-[h, 1]^T @ dz is the weight and bias gradient at once. `forward`, `embed`
-and `backward` make a kernel per batch and return fresh arrays.
+[h, 1]^T @ dz is the weight and bias gradient at once. `forward` and
+`backward` make a kernel per batch and return fresh arrays.
 
 A run's template model keeps what the run reuses, each made once per run
 at first use: the `shared_kernel` its trainers step on, the forward-only
@@ -23,7 +24,6 @@ template's kernels. Each use overwrites the last, and the trainers
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,35 +35,24 @@ class ShapeError(ValueError):
     """Raised when array dimensions do not match the model architecture."""
 
 
-@dataclass
 class MlpModel:
-    """Feature extractor (rectified dense layers) plus a linear classifier.
-
-    Weight matrices are stored as (fan_in, fan_out) so a batch flows as
-    ``x @ W + b``. The extractor may be empty, in which case the feature
-    space is the raw input.
-
-    The layers are copied into a fresh `theta`, unless one is passed: the
-    model is then built over it, and the layers give only the shapes.
+    """Rectified dense layers of `widths`, then a linear classifier, over
+    one flat vector: `theta` when given (a vector that is not contiguous
+    float64 is copied), else zeros. `blocks[i]` views layer i's [W; b],
+    W stored (fan_in, fan_out) so a batch flows as ``x @ W + b``. With two
+    widths there is no hidden layer and the feature space is the input.
     """
 
-    extractor: list[tuple[np.ndarray, np.ndarray]]
-    classifier: tuple[np.ndarray, np.ndarray]
-    theta: np.ndarray | None = field(default=None, kw_only=True, repr=False, compare=False)
-
-    def __post_init__(self):
-        layers = self._layers()
-        if any(a[0].shape[1] != b[0].shape[0] for a, b in zip(layers, layers[1:])):
-            raise ShapeError("each layer's input width must equal the previous output width")
-        self.widths = (layers[0][0].shape[0], *(w.shape[1] for w, _ in layers))
+    def __init__(self, widths, theta: np.ndarray | None = None):
+        self.widths = tuple(widths)
+        if len(self.widths) < 2 or min(self.widths) < 1:
+            raise ShapeError(f"need two or more widths, each >= 1, got {self.widths}")
         size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.widths, self.widths[1:]))
-        if self.theta is None:
-            self.theta = np.concatenate([a.ravel() for wb in layers for a in wb])
-        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
+        self.theta = (np.zeros(size) if theta is None
+                      else np.ascontiguousarray(theta, dtype=np.float64))
         if self.theta.shape != (size,):
             raise ShapeError(f"expected flat vector of length {size}, got {self.theta.shape}")
         self.blocks = _blocks(self.theta, self.widths)
-        *self.extractor, self.classifier = [(blk[:-1], blk[-1]) for blk in self.blocks]
         self._kernels, self._kept = {}, {}  # see `kept`; scratch models share the kernels
 
     @property
@@ -81,9 +70,6 @@ class MlpModel:
     @property
     def num_params(self) -> int:
         return self.theta.size
-
-    def _layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [*self.extractor, self.classifier]
 
     def shared_kernel(self, rows: int) -> Kernel:
         """A kernel for any model of this shape with room for `rows`, kept on
@@ -114,7 +100,7 @@ class MlpModel:
         """A model of this shape over its own vector, kept under `key`; it
         shares this model's kernels, and each user overwrites it."""
         def make():
-            model = MlpModel(self.extractor, self.classifier, theta=np.empty(self.num_params))
+            model = MlpModel(self.widths, np.empty(self.num_params))
             model._kernels = self._kernels
             return model
         return self.kept(key, make)
@@ -215,21 +201,22 @@ class Kernel:
 def init_mlp(input_dim: int, hidden: tuple[int, ...], num_classes: int,
              rng: np.random.Generator) -> MlpModel:
     """Seeded init: each layer uniform in +-1/sqrt(fan_in), biases zero."""
-    widths = (input_dim, *hidden, num_classes)
-    *extractor, classifier = [(rng.uniform(-1.0 / np.sqrt(i), 1.0 / np.sqrt(i), size=(i, o)),
-                               np.zeros(o)) for i, o in zip(widths, widths[1:])]
-    return MlpModel(extractor=extractor, classifier=classifier)
+    model = MlpModel((input_dim, *hidden, num_classes))
+    for block in model.blocks:  # [W; b]: fan_in + 1 rows
+        bound = 1.0 / np.sqrt(len(block) - 1)
+        block[:-1] = rng.uniform(-bound, bound, size=block[:-1].shape)
+    return model
 
 
 def flatten(model: MlpModel) -> np.ndarray:
-    """A copy of all parameters (extractor first, classifier last)."""
+    """A copy of all parameters, layer by layer as `blocks` views them."""
     return model.theta.copy()
 
 
 def unflatten_like(template: MlpModel, vec: np.ndarray) -> MlpModel:
     """A model with the template's shapes over `vec`: later writes into
     `vec` move it (a `vec` that is not contiguous float64 is copied)."""
-    return MlpModel(extractor=template.extractor, classifier=template.classifier, theta=vec)
+    return MlpModel(template.widths, vec)
 
 
 def augment(model: MlpModel, batch) -> np.ndarray:
@@ -242,17 +229,9 @@ def augment(model: MlpModel, batch) -> np.ndarray:
 
 def forward(model: MlpModel, batch: np.ndarray) -> Kernel:
     """Run a batch through a fresh kernel, the trace `backward` takes, with
-    `logits`, `acts` and `embeddings` (the input when there is no extractor)."""
+    `logits`, `acts` and `embeddings` (the input when there is no hidden layer)."""
     x = augment(model, batch)
     return Kernel(model.widths, len(x)).forward(model, x)
-
-
-def embed(model: MlpModel, batch: np.ndarray) -> np.ndarray:
-    """The extractor's output for a batch, bit-identical to
-    `forward(model, batch).embeddings`, without the classifier. For
-    forwards that need no `backward` (prototypes, monitors)."""
-    x = augment(model, batch)
-    return Kernel(model.widths, len(x)).forward(model, x, classify=False).embeddings
 
 
 def backward(model: MlpModel, trace: Kernel, dlogits: np.ndarray,
@@ -307,27 +286,43 @@ def finite_diff_check(model: MlpModel, batch, loss_fn, epsilon: float = 1e-5,
 
 
 def save_checkpoint(path, model: MlpModel) -> None:
-    """Little-endian binary checkpoint: magic, version, shapes, theta as raw f64."""
-    layers = model._layers()
+    """Little-endian binary checkpoint: magic, version, the layer count and
+    each layer's (fan_in, fan_out), then theta as raw f64."""
+    shapes = list(zip(model.widths, model.widths[1:]))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(layers)))
-        for w, _ in layers:
-            fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(shapes)))
+        for fan_in, fan_out in shapes:
+            fh.write(struct.pack("<II", fan_in, fan_out))
         fh.write(model.theta.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> MlpModel:
+    """The model a `save_checkpoint` file holds. A header cut short, with no
+    layers or with shapes that do not chain, or a body that is not whole
+    f64 values or not theta's length, raises `ShapeError`."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic: {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {version}")
-        (n_layers,) = struct.unpack("<I", fh.read(4))
-        shapes = [struct.unpack("<II", fh.read(8)) for _ in range(n_layers)]
-        theta = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    *extractor, classifier = [(np.empty((r, c)), np.empty(c)) for r, c in shapes]
-    return MlpModel(extractor=extractor, classifier=classifier, theta=theta)
+        raw = fh.read()
+    if raw[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic: {raw[:4]!r}")
+
+    def words(offset: int, count: int) -> tuple[int, ...]:
+        if len(raw) < offset + 4 * count:
+            raise ShapeError(f"checkpoint header cut short at {len(raw)} bytes")
+        return struct.unpack_from(f"<{count}I", raw, offset)
+
+    (version,) = words(4, 1)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version: {version}")
+    (n_layers,) = words(8, 1)
+    if n_layers == 0:
+        raise ShapeError("checkpoint header declares no layers")
+    shapes = words(12, 2 * n_layers)
+    fan_in, fan_out = shapes[0::2], shapes[1::2]
+    if fan_in[1:] != fan_out[:-1]:
+        raise ShapeError(f"checkpoint layer shapes do not chain: {list(zip(fan_in, fan_out))}")
+    body = 12 + 8 * n_layers
+    if (len(raw) - body) % 8:
+        raise ShapeError(f"checkpoint body of {len(raw) - body} bytes is not whole f64 values")
+    theta = np.frombuffer(raw, dtype="<f8", offset=body).astype(np.float64)
+    return MlpModel((fan_in[0], *fan_out), theta)

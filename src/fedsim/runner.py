@@ -246,13 +246,15 @@ class RunResult:
         return out + [last] * (length - len(out))
 
 
-def _triangle_fields(template, server, selected, theta_start, deltas, uploads,
+def _triangle_fields(template, server, selected, theta_start, deltas, uploads, divergences,
                      train, partition, probe: dat.LabeledDataset) -> dict:
     """Empirical transport-bound monitor: checks whether the global
     features' distance to the global prototypes is covered by the two
     alignment stages plus the measured extractor discrepancy. Client k
     ended the round at `theta_start + deltas[k]`; `uploads` holds the
     clients' prototype matrices, over the full surrogate set: no class absent.
+    Stage 2's term is the largest of `divergences`, each client's
+    `prototype_divergence` from the global prototypes.
     Every embedding runs on the template's inference kernel: the probe's on
     its kept inputs and class indicator, a shard's on its rows gathered
     into a buffer that the template keeps, with the ones column set once."""
@@ -269,7 +271,7 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads,
     proto_counts = np.ones(probe.num_classes, dtype=np.int64)
     lhs = ev.class_mean_distance(g_means, g_counts, server.global_prototypes, proto_counts)
 
-    eps1, eps2, kappas = [], [], []
+    eps1, kappas = [], []
     local_model = template.scratch("monitor")
     for k in selected:
         np.add(theta_start, deltas[k], out=local_model.theta)
@@ -279,12 +281,10 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads,
         l_means, l_counts = alg._class_means(embed(local_model, x), train.labels[shard],
                                              train.num_classes)
         eps1.append(ev.class_mean_distance(l_means, l_counts, uploads[k], proto_counts))
-        eps2.append(ev.class_mean_distance(uploads[k], proto_counts,
-                                           server.global_prototypes, proto_counts))
         k_means, k_counts = alg._means_by_class(embed(local_model, probe.augmented),
                                                 *probe.indicator)
         kappas.append(ev.class_mean_distance(k_means, k_counts, g_means, g_counts))
-    rhs = max(eps1) + max(eps2) + max(kappas)
+    rhs = max(eps1) + max(divergences) + max(kappas)
     return {"triangle_lhs": lhs, "triangle_rhs": rhs,
             "triangle_kappa": max(kappas), "triangle_holds": bool(lhs <= rhs)}
 
@@ -432,11 +432,11 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         record = {"round": t, "selected": selected, "test_acc": test_acc,
                   "comm_down": down, "comm_up": up, "divergence": None}
         if uploads and (t + 1) % config.divergence_cadence == 0:
-            record["divergence"] = float(np.mean(
-                [ev.prototype_divergence(uploads[k], server.global_prototypes)
-                 for k in selected]))
+            divergences = [ev.prototype_divergence(uploads[k], server.global_prototypes)
+                           for k in selected]
+            record["divergence"] = float(np.mean(divergences))
             record.update(_triangle_fields(template, server, selected, theta_start, deltas,
-                                           uploads, train, partition, probe))
+                                           uploads, divergences, train, partition, probe))
         record["wallclock_ms"] = (time.perf_counter() - tic) * 1000.0
         records.append(record)
 

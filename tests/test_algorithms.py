@@ -14,6 +14,7 @@ from fedsim import nn
 from fedsim import protocol as proto
 from fedsim import runner
 from fedsim.diag import grad_check_report, quadratic_oracle_report
+from layers import mlp_from
 
 
 def tiny_model(seed=0, input_dim=4, hidden=(6, 5), classes=2):
@@ -41,16 +42,14 @@ class TestLocalPrototypes:
         means = np.abs(np.random.default_rng(0).standard_normal((3, 4))) + 0.1
         spec = dat.SurrogateSpec(3, 4, means, class_std=0.0, n_per_class=5, seed=0)
         surrogate = dat.gen_surrogate(spec)
-        model = nn.MlpModel(extractor=[(np.eye(4), np.zeros(4))],
-                            classifier=(np.ones((4, 3)), np.zeros(3)))
+        model = mlp_from((np.eye(4), np.zeros(4)), (np.ones((4, 3)), np.zeros(3)))
         protos = alg.compute_local_prototypes(model, surrogate)
         assert np.allclose(protos.means, means, atol=1e-15)
 
     def test_zero_extractor_gives_zero_prototypes(self):
         model = tiny_model(classes=3)
-        for w, b in model.extractor:
-            w[:] = 0.0
-            b[:] = 0.0
+        for block in model.blocks[:-1]:
+            block[:] = 0.0
         surrogate = dat.gen_surrogate(dat.make_surrogate_spec(3, 4, seed=1, n_per_class=4))
         protos = alg.compute_local_prototypes(model, surrogate)
         assert np.array_equal(protos.means, np.zeros((3, model.embed_dim)))
@@ -58,8 +57,7 @@ class TestLocalPrototypes:
     def test_two_points_give_midpoint(self):
         feats = np.array([[1.0, 3.0], [3.0, 5.0], [2.0, 2.0], [4.0, 4.0]])
         surrogate = dat.LabeledDataset(feats, np.array([0, 0, 1, 1]), 2)
-        model = nn.MlpModel(extractor=[(np.eye(2), np.zeros(2))],
-                            classifier=(np.ones((2, 2)), np.zeros(2)))
+        model = mlp_from((np.eye(2), np.zeros(2)), (np.ones((2, 2)), np.zeros(2)))
         protos = alg.compute_local_prototypes(model, surrogate)
         assert np.array_equal(protos.means, [[2.0, 4.0], [3.0, 3.0]])
 

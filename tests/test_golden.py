@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim import runner
+from fedsim import nn, runner
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -53,6 +53,19 @@ def trajectory(algo: str, out_dir: Path) -> dict:
 def test_matches_golden(algo, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert trajectory(algo, tmp_path) == golden["algorithms"][algo]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fedgps_matches_fedgps_cf_with_the_sign_flipped(sign, tmp_path):
+    # both non-self gradients are positive multiples of the other clients'
+    # summed deltas, with opposite signs, and rectification normalises the
+    # direction: only rounding may tell the two runs apart
+    runs = [runner.run_one(dataclasses.replace(CONFIG, algo=algo, nsg_sign=s,
+                                               out_dir=str(tmp_path)), 0, 0)
+            for algo, s in [("fedgps", sign), ("fedgps_cf", -sign)]]
+    gps, cf = (nn.load_checkpoint(Path(r.run_dir) / "checkpoint.bin").theta for r in runs)
+    np.testing.assert_allclose(gps, cf, rtol=1e-12, atol=0)
+    assert runs[0].accuracy_series == runs[1].accuracy_series
 
 
 if __name__ == "__main__":

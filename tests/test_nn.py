@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fedsim import nn
 from fedsim.algorithms import ce_loss_and_grad
+from layers import layers_of, mlp_from
 
 
 def tiny_model(seed=0, input_dim=4, hidden=(6, 5), classes=3):
@@ -15,9 +16,8 @@ def tiny_model(seed=0, input_dim=4, hidden=(6, 5), classes=3):
 class TestForward:
     def test_zero_weights_give_zero_logits(self):
         model = tiny_model()
-        for w, b in model._layers():
-            w[:] = 0.0
-            b[:] = 0.0
+        for block in model.blocks:
+            block[:] = 0.0
         x = np.random.default_rng(1).standard_normal((7, 4))
         trace = nn.forward(model, x)
         assert np.array_equal(trace.logits, np.zeros((7, 3)))
@@ -25,8 +25,7 @@ class TestForward:
     def test_identity_extractor_passes_input_through(self):
         # single square-identity layer, nonnegative input so the rectifier
         # is the identity too
-        model = nn.MlpModel(extractor=[(np.eye(4), np.zeros(4))],
-                            classifier=(np.ones((4, 2)), np.zeros(2)))
+        model = mlp_from((np.eye(4), np.zeros(4)), (np.ones((4, 2)), np.zeros(2)))
         x = np.abs(np.random.default_rng(2).standard_normal((5, 4)))
         trace = nn.forward(model, x)
         assert np.array_equal(trace.embeddings, x)
@@ -35,10 +34,11 @@ class TestForward:
         # straightforward matrix-multiply oracle, written independently
         model = tiny_model(seed=3)
         x = np.random.default_rng(4).standard_normal((6, 4))
+        *hidden, (clf_w, clf_b) = layers_of(model)
         h = x
-        for w, b in model.extractor:
+        for w, b in hidden:
             h = np.maximum(h @ w + b, 0.0)
-        expected = h @ model.classifier[0] + model.classifier[1]
+        expected = h @ clf_w + clf_b
         assert np.allclose(nn.forward(model, x).logits, expected, rtol=0, atol=0)
 
     def test_forward_is_pure(self):
@@ -66,7 +66,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         w = rng.standard_normal((4, 3))
         b = rng.standard_normal(3)
-        model = nn.MlpModel(extractor=[], classifier=(w, b))
+        model = mlp_from((w, b))
         x = rng.standard_normal((5, 4))
         trace = nn.forward(model, x)
         grad = nn.backward(model, trace, trace.logits)
@@ -92,7 +92,7 @@ class TestBackward:
         trace = nn.forward(model, x)
         grad = nn.backward(model, trace, np.zeros_like(trace.logits),
                            dembed=np.ones_like(trace.embeddings))
-        clf_size = model.classifier[0].size + model.classifier[1].size
+        clf_size = model.blocks[-1].size
         assert np.array_equal(grad[-clf_size:], np.zeros(clf_size))
 
     def test_shape_mismatch_rejected(self):
@@ -112,20 +112,22 @@ def ones_column(h):
 def reference_forward(model, x):
     """Every layer out of place on the augmented formula [h, 1] @ [W; b]:
     fresh arrays for the ones column, the stacked block and the product."""
+    *hidden, classifier = layers_of(model)
     acts, h = [], x
-    for w, b in model.extractor:
+    for w, b in hidden:
         h = np.maximum(ones_column(h) @ np.vstack([w, b]), 0.0)
         acts.append(h)
-    return acts, ones_column(h) @ np.vstack(model.classifier)
+    return acts, ones_column(h) @ np.vstack(classifier)
 
 
 def classical_forward(model, x):
     """The textbook layer h @ W + b, bias added after the product."""
+    *hidden, (clf_w, clf_b) = layers_of(model)
     acts, h = [], x
-    for w, b in model.extractor:
+    for w, b in hidden:
         h = np.maximum(h @ w + b, 0.0)
         acts.append(h)
-    return acts, h @ model.classifier[0] + model.classifier[1]
+    return acts, h @ clf_w + clf_b
 
 
 ROWS = [1, 3, 32, 64, 640]
@@ -158,14 +160,13 @@ class TestInPlaceLayers:
     @pytest.mark.parametrize("hidden", [(), (6,), (64, 32)])
     @pytest.mark.parametrize("rows", [1, 3, 64, 640])
     def test_embed_bit_identical_to_forward(self, hidden, rows):
-        # the trace-free inference path rectifies in place
+        # the inference path skips the classifier and rectifies in place
         model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
-        x = np.random.default_rng(300 + rows).standard_normal((rows, 16))
+        x = nn.augment(model, np.random.default_rng(300 + rows).standard_normal((rows, 16)))
         before = x.tobytes()
-        assert nn.embed(model, x).tobytes() == nn.forward(model, x).embeddings.tobytes()
+        embedded = nn.Kernel(model.widths, rows).forward(model, x, classify=False).embeddings
+        assert embedded.tobytes() == nn.forward(model, x[:, :-1]).embeddings.tobytes()
         assert x.tobytes() == before
-        with pytest.raises(nn.ShapeError):
-            nn.embed(model, x[:, :15])
 
     @pytest.mark.parametrize("with_dembed", [False, True])
     def test_backward_leaves_its_inputs_unchanged(self, with_dembed):
@@ -191,16 +192,16 @@ def reference_backward(model, trace, dlogits, dembed=None, classical=False):
             return [(prev.T @ dz).ravel(), dz.sum(axis=0)]
         return [(ones_column(prev).T @ dz).ravel()]
 
-    clf_w, _ = model.classifier
+    *hidden, (clf_w, _) = layers_of(model)
     parts = layer(trace.embeddings, dlogits)
     dh = dlogits @ clf_w.T
     if dembed is not None:
         dh = dh + dembed
-    for i in range(len(model.extractor) - 1, -1, -1):
+    for i in range(len(hidden) - 1, -1, -1):
         dz = dh * (trace.acts[i] > 0)
         prev = trace.inputs if i == 0 else trace.acts[i - 1]
         parts = layer(prev, dz) + parts
-        dh = dz @ model.extractor[i][0].T
+        dh = dz @ hidden[i][0].T
     return np.concatenate(parts)
 
 
@@ -267,8 +268,9 @@ class TestKernelReuse:
 class TestFlatBuffer:
     def test_layers_are_views_of_theta(self):
         model = tiny_model(seed=22)
-        for w, b in model._layers():
-            assert np.shares_memory(w, model.theta) and np.shares_memory(b, model.theta)
+        assert [block.shape for block in model.blocks] == [(5, 6), (7, 5), (6, 3)]
+        for block in model.blocks:
+            assert block.base is model.theta
         assert model.theta.flags.c_contiguous and model.theta.dtype == np.float64
 
     def test_in_place_update_of_theta_moves_the_model(self):
@@ -279,11 +281,11 @@ class TestFlatBuffer:
         theta -= 0.25 * np.random.default_rng(25).standard_normal(theta.size)
         fresh = nn.unflatten_like(template, theta.copy())
         assert np.array_equal(nn.forward(model, x).logits, nn.forward(fresh, x).logits)
-        assert np.array_equal(model.extractor[0][1], theta[24:30])
+        assert np.array_equal(model.blocks[0][-1], theta[24:30])
 
     def test_writing_a_layer_writes_theta(self):
         model = tiny_model(seed=26)
-        model.classifier[1][:] = 7.0
+        model.blocks[-1][-1] = 7.0
         assert np.array_equal(model.theta[-3:], [7.0, 7.0, 7.0])
 
     def test_flatten_returns_a_copy(self):
@@ -292,13 +294,18 @@ class TestFlatBuffer:
         flat = nn.flatten(model)
         flat[:] = 123.0
         assert np.array_equal(model.theta, before)
-        assert np.array_equal(model.extractor[0][0].ravel(), before[:24])
+        assert np.array_equal(model.blocks[0][:-1].ravel(), before[:24])
 
-    def test_constructor_copies_the_given_layers(self):
-        w, b = np.eye(2), np.zeros(2)
-        model = nn.MlpModel(extractor=[], classifier=(w, b))
-        w[0, 0] = 5.0
-        assert model.classifier[0][0, 0] == 1.0
+    def test_constructor_without_a_vector_starts_at_zero(self):
+        model = nn.MlpModel((4, 6, 3))
+        assert model.widths == (4, 6, 3) and model.num_params == 5 * 6 + 7 * 3
+        assert np.array_equal(model.theta, np.zeros(model.num_params))
+        assert (model.input_dim, model.embed_dim, model.num_classes) == (4, 6, 3)
+
+    @pytest.mark.parametrize("widths", [(), (4,), (4, 0), (0, 3), (4, 6, 0, 3)])
+    def test_constructor_rejects_bad_widths(self, widths):
+        with pytest.raises(nn.ShapeError):
+            nn.MlpModel(widths)
 
     def test_non_contiguous_vector_is_copied(self):
         template = tiny_model(seed=28)
@@ -311,8 +318,7 @@ class TestFlatBuffer:
 class TestFiniteDiffCheck:
     def test_exact_for_quadratic_up_to_roundoff(self):
         rng = np.random.default_rng(15)
-        model = nn.MlpModel(extractor=[], classifier=(rng.standard_normal((4, 2)),
-                                                      rng.standard_normal(2)))
+        model = mlp_from((rng.standard_normal((4, 2)), rng.standard_normal(2)))
         x = rng.standard_normal((5, 4))
 
         def loss_fn(m, batch):
@@ -333,8 +339,9 @@ class TestFlattenRoundTrip:
     def test_bijection(self, seed, hidden):
         model = nn.init_mlp(5, tuple(hidden), 3, np.random.default_rng(seed))
         rebuilt = nn.unflatten_like(model, nn.flatten(model))
-        for (w1, b1), (w2, b2) in zip(model._layers(), rebuilt._layers()):
-            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        assert rebuilt.widths == model.widths == (5, *hidden, 3)
+        for a, b in zip(model.blocks, rebuilt.blocks, strict=True):
+            assert np.array_equal(a, b)
 
     def test_wrong_length_rejected(self):
         model = tiny_model()
@@ -348,21 +355,28 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         nn.save_checkpoint(path, model)
         loaded = nn.load_checkpoint(path)
-        for (w1, b1), (w2, b2) in zip(model._layers(), loaded._layers()):
-            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        assert loaded.widths == model.widths
+        for a, b in zip(model.blocks, loaded.blocks, strict=True):
+            assert np.array_equal(a, b)
 
     def test_layout_matches_per_layer_writer(self, tmp_path):
         # header, then each layer's weights and bias as little-endian f64,
-        # written layer by layer as an independent reference
+        # sliced from theta by offset and written layer by layer as an
+        # independent reference
         model = tiny_model(seed=17)
         path = tmp_path / "model.bin"
         nn.save_checkpoint(path, model)
-        layers = model._layers()
-        ref = b"FGPS" + (1).to_bytes(4, "little") + len(layers).to_bytes(4, "little")
-        for w, _ in layers:
-            ref += w.shape[0].to_bytes(4, "little") + w.shape[1].to_bytes(4, "little")
-        for w, b in layers:
+        shapes = [(4, 6), (6, 5), (5, 3)]
+        ref = b"FGPS" + (1).to_bytes(4, "little") + len(shapes).to_bytes(4, "little")
+        for fan_in, fan_out in shapes:
+            ref += fan_in.to_bytes(4, "little") + fan_out.to_bytes(4, "little")
+        offset = 0
+        for fan_in, fan_out in shapes:
+            w = model.theta[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+            b = model.theta[offset + fan_in * fan_out:offset + (fan_in + 1) * fan_out]
             ref += w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+            offset += (fan_in + 1) * fan_out
+        assert offset == model.num_params
         assert path.read_bytes() == ref
 
     def test_loaded_model_owns_a_writable_buffer(self, tmp_path):
@@ -370,13 +384,44 @@ class TestCheckpoint:
         nn.save_checkpoint(path, tiny_model(seed=18))
         loaded = nn.load_checkpoint(path)
         loaded.theta += 1.0
-        assert np.shares_memory(loaded.classifier[0], loaded.theta)
+        assert loaded.blocks[-1].base is loaded.theta
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
         nn.save_checkpoint(path, tiny_model(seed=19))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(nn.ShapeError):
+            nn.load_checkpoint(path)
+
+    def test_body_cut_inside_a_value_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        nn.save_checkpoint(path, tiny_model(seed=30))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(nn.ShapeError, match="whole f64"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [6, 10, 12, 20])
+    def test_header_cut_short_rejected(self, tmp_path, keep):
+        # inside the version or the layer count, before the shapes, after the first
+        path = tmp_path / "model.bin"
+        nn.save_checkpoint(path, tiny_model(seed=31))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(nn.ShapeError, match="cut short"):
+            nn.load_checkpoint(path)
+
+    def test_no_layers_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"FGPS" + (1).to_bytes(4, "little") + (0).to_bytes(4, "little"))
+        with pytest.raises(nn.ShapeError, match="no layers"):
+            nn.load_checkpoint(path)
+
+    def test_shapes_that_do_not_chain_rejected(self, tmp_path):
+        # (4, 6) then (5, 3): a consistent total length, 30 + 18 values
+        path = tmp_path / "model.bin"
+        header = [1, 2, 4, 6, 5, 3]
+        path.write_bytes(b"FGPS" + b"".join(n.to_bytes(4, "little") for n in header)
+                         + np.zeros(48).astype("<f8").tobytes())
+        with pytest.raises(nn.ShapeError, match="do not chain"):
             nn.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -41,7 +41,7 @@ class TestKeptInferenceInputs:
             if step == 1:  # another row count on the same kernel in between
                 model.inference_kernel(1).forward(model, train.augmented[:7])
             got = alg.compute_local_prototypes(model, surrogate)
-            means, counts = alg._class_means(nn.embed(model, surrogate.features),
+            means, counts = alg._class_means(nn.forward(model, surrogate.features).embeddings,
                                              surrogate.labels, surrogate.num_classes)
             assert np.array_equal(got.means, means) and np.array_equal(got.counts, counts)
 
@@ -68,9 +68,10 @@ class TestKeptInferenceInputs:
 
 def reference_triangle(template, server, selected, theta_start, deltas, uploads, train,
                        partition, probe):
-    """The monitor with a fresh `nn.embed` and `_class_means` per forward."""
+    """The monitor with a fresh `nn.forward` and `_class_means` per forward,
+    and stage 2's term recomputed from the uploads."""
     def means(model, ds_x, labels):
-        return alg._class_means(nn.embed(model, ds_x), labels, train.num_classes)
+        return alg._class_means(nn.forward(model, ds_x).embeddings, labels, train.num_classes)
     g_means, g_counts = means(nn.unflatten_like(template, server.global_params),
                               probe.features, probe.labels)
     ones = np.ones(train.num_classes, dtype=np.int64)
@@ -101,12 +102,24 @@ def test_monitor_fields_match_reference():
             template.num_params), global_prototypes=rng.standard_normal((4, 6)))
         deltas = {k: 0.2 * rng.standard_normal(template.num_params) for k in selected}
         uploads = {k: rng.standard_normal((4, 6)) for k in selected}
-        args = (template, server, selected, theta_start, deltas, uploads, train, partition,
-                probe)
-        got, want = runner._triangle_fields(*args), reference_triangle(*args)
+        divergences = [ev.prototype_divergence(uploads[k], server.global_prototypes)
+                       for k in selected]
+        got = runner._triangle_fields(template, server, selected, theta_start, deltas, uploads,
+                                      divergences, train, partition, probe)
+        want = reference_triangle(template, server, selected, theta_start, deltas, uploads,
+                                  train, partition, probe)
         assert got.keys() == want.keys()
         for key in want:
             assert np.array_equal(got[key], want[key]), (rnd, key)
+
+
+def test_stage2_term_is_the_prototype_divergence():
+    # the monitor takes stage 2 from the `divergence` field's per-client values
+    rng = np.random.default_rng(13)
+    for classes, dim in [(1, 1), (2, 3), (10, 32), (4, 6)] * 50:
+        a, b = rng.standard_normal((2, classes, dim)) * rng.uniform(1e-3, 1e3)
+        ones = np.ones(classes, dtype=np.int64)
+        assert ev.prototype_divergence(a, b) == ev.class_mean_distance(a, ones, b, ones)
 
 
 class TestRoundNonSelfGradient:

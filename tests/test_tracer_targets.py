@@ -5,7 +5,11 @@ including the two sweeps whose self time it counts as artifacts time.
 
 Its correctness check also counts one gradient call per local step: a
 `rectified_gradient` call, or a `ce_loss_and_grad` call made directly by a
-trainer. A local step that reaches neither name fails the traced run."""
+trainer. A local step that reaches neither name fails the traced run.
+
+Its microbenchmarks call the model and layer API directly (`init_mlp`,
+`forward`, `backward`, `unflatten_like`, the gradients, prototypes and
+`runner.accuracy`), so a change to that API must keep them running."""
 import json
 import math
 import sys
@@ -18,6 +22,7 @@ import fedsim
 from fedsim import algorithms as alg, runner
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "fedbench"))
+import run as fedbench_run  # noqa: E402
 import tracing  # noqa: E402
 
 NAMES = sorted({name for members in tracing.PHASES.values() for name in members}
@@ -65,3 +70,15 @@ def test_one_traced_step_gradient_per_local_step(tmp_path, algo):
     assert len(counted) == expected
     assert set(counted) == ({"rectified_gradient"} if algo in runner.RECTIFIED
                             else {"ce_loss_and_grad"})
+
+
+def test_microbenchmarks_pass_their_checks(tmp_path):
+    # the fewest rows that leave the 32-row batches they draw: 48 train, 36 surrogate
+    workload = fedbench_run.Workload(("fedgps",), dict(
+        num_classes=3, input_dim=4, n_per_class=20, hidden=(8, 4), num_clients=4,
+        surrogate_n_per_class=12), 1)
+    inputs = fedbench_run.build_inputs(fedsim, workload, 0, tmp_path)
+    failures = []
+    metrics = tracing.microbenchmarks(fedsim, inputs, failures)
+    assert failures == []
+    assert metrics and all(math.isfinite(v) and v > 0 for v in metrics.values()), metrics
