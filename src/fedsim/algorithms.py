@@ -30,11 +30,11 @@ one-step plan. Each epoch's rows are gathered once with the ones column of
 
 The template is the run's workspace. Once per run it keeps the trainee
 and the rectified point (`MlpModel.scratch`), the kernels, and the last
-plan layout, which every epoch of a shard of that size reuses. Once per
-round, the clients that share a non-self gradient share its
-rectification shift (`_shift`). Prototypes run on the template's
-inference kernel over the surrogate's kept inputs and class indicator,
-so per client they cost one forward and one product.
+plan layout, which every epoch of a shard of that size reuses. The round
+loop computes each distinct rectification shift once and hands the
+trainer the shift, not the non-self gradient. Prototypes run on the
+template's inference kernel over the surrogate's kept inputs and class
+indicator, so per client they cost one forward and one product.
 """
 from __future__ import annotations
 
@@ -405,27 +405,26 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
 
 
 def fedgps_local_train(client: ClientState, template: MlpModel,
-                       theta_global: np.ndarray, nsg: np.ndarray | None,
+                       theta_global: np.ndarray, shift: np.ndarray | None,
                        dataset: LabeledDataset, surrogate: LabeledDataset,
                        global_prototypes: np.ndarray | None, hyper: FedGpsHyper,
                        round_index: int = 0) -> tuple[np.ndarray, PrototypeSet]:
     """One client's round: rectified steps over the composite objective.
 
-    The non-self gradient is fixed for the round, so its shift is computed
-    once (`_shift`) and re-applied at every iteration, at the template's
-    scratch point. With a surrogate term on, each epoch draws its steps'
-    surrogate minibatches in step order and lays the epoch out as one
-    `EpochPlan`; with rectification and all surrogate terms disabled this
-    trajectory is bit-identical to FedAvg's.
+    `shift` is the round's rectification shift, `rectification_shift` of
+    the signed non-self gradient, made by the round loop; every step takes
+    its gradient at theta + shift, on the template's scratch point, or at
+    theta when `shift` is None. With a surrogate term on, each epoch draws
+    its steps' surrogate minibatches in step order and lays the epoch out
+    as one `EpochPlan`; with rectification and all surrogate terms
+    disabled this trajectory is bit-identical to FedAvg's.
     Returns the delta and fresh local prototypes over the full surrogate set.
     """
-    shift = _shift(template, nsg, hyper)
     at = None if shift is None else template.scratch("rectified point")
 
     cycler = (_batch_cycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
               if hyper.uses_surrogate else None)
 
-    # the shift stands for the nsg: with none, a step takes the unperturbed gradient
     def epoch_grad(rows):
         if cycler is None:
             objective = _ce_objective(dataset, rows, hyper, template)
@@ -443,26 +442,6 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     delta, model_end, _ = _local_sgd(client, template, theta_global, hyper,
                                      epoch_grad, round_index)
     return delta, compute_local_prototypes(model_end, surrogate)
-
-
-def _shift(template: MlpModel, nsg: np.ndarray | None, hyper: FedGpsHyper):
-    """`rectification_shift` of nsg with its sign applied, computed once per
-    distinct vector. The template keeps the last two vectors and their
-    shifts for the run, so the clients that share a round's non-self
-    gradient reuse it, with a client of its own in between."""
-    if nsg is None:
-        return None
-    memo = template.kept("shifts", list)  # (lambda_g, nsg_sign, nsg, shift), newest first
-    for i, (lambda_g, sign, seen, shift) in enumerate(memo):
-        if ((lambda_g, sign) == (hyper.lambda_g, hyper.nsg_sign) and seen[0] == nsg[0]
-                and np.array_equal(seen, nsg)):
-            memo.insert(0, memo.pop(i))
-            return shift
-    signed = -nsg if hyper.nsg_sign == -1.0 else nsg
-    shift = rectification_shift(signed, hyper.lambda_g)
-    memo[1:] = memo[:1]
-    memo.insert(0, (hyper.lambda_g, hyper.nsg_sign, nsg.copy(), shift))
-    return shift
 
 
 def _ce_objective(dataset: LabeledDataset, rows: np.ndarray, hyper: FedGpsHyper,

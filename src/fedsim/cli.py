@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +62,8 @@ def _cmd_diag(args) -> int:
         cases = [(args.M, args.C or 10, args.embed_dim or 512)]
     elif args.C is not None or args.embed_dim is not None:
         args.error("--C and --embed-dim need --M: they size its comm-audit case")
+    if not math.isfinite(args.lambda_g):
+        args.error(f"argument --lambda-g: must be a finite number, got {args.lambda_g}")
     suites = {
         "grad-check": lambda: dg.grad_check_report(),
         "quadratic-oracle": lambda: dg.quadratic_oracle_report(lambda_g=args.lambda_g),

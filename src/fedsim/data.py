@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -225,17 +226,29 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 
 
 def load_csv(path) -> LabeledDataset:
-    """Load a dataset from CSV with header row f0..fD,label."""
+    """Load a dataset from CSV with header row f0..fD,label. Each row holds
+    one finite number per column and a whole-number label >= 0; the first
+    row that does not raises `FormatError` naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[-1] != "label":
             raise FormatError(f"{path}: last CSV column must be 'label'")
         rows = list(reader)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    mat = np.array(rows, dtype=np.float64)
-    labels = mat[:, -1].astype(np.int64)
+    mat = np.full((len(rows), len(header)), np.nan)
+    for i, row in enumerate(rows):
+        if len(row) == len(header):
+            with suppress(ValueError):  # a field that does not parse leaves a NaN
+                mat[i] = row
+    labels = mat[:, -1]
+    bad = ~(np.isfinite(mat).all(axis=1) & (labels >= 0) & (labels == np.floor(labels)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(f"{path}: line {i + 2}: expected {len(header) - 1} finite features "
+                          f"and a whole-number label >= 0, got {','.join(rows[i])!r}")
+    labels = labels.astype(np.int64)
     return LabeledDataset(mat[:, :-1], labels, int(labels.max()) + 1)
 
 

@@ -261,7 +261,8 @@ def finite_diff_check(model: MlpModel, batch, loss_fn, epsilon: float = 1e-5,
 
     `loss_fn(model, batch)` must return ``(loss, flat_grad)``. The check
     perturbs a random subsample of parameter coordinates and returns the
-    max of ``|analytic - central| / (|central| + 1e-12)``.
+    max of ``|analytic - central| / (|central| + 1e-12)``, NaN when any
+    compared value is NaN, so that no tolerance passes it.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -271,7 +272,7 @@ def finite_diff_check(model: MlpModel, batch, loss_fn, epsilon: float = 1e-5,
     _, grad = loss_fn(model, batch)
     n = theta.size
     coords = rng.choice(n, size=min(num_coords, n), replace=False)
-    worst = 0.0
+    rels = []
     for i in coords:
         theta_hi = theta.copy()
         theta_hi[i] += epsilon
@@ -280,9 +281,8 @@ def finite_diff_check(model: MlpModel, batch, loss_fn, epsilon: float = 1e-5,
         loss_hi, _ = loss_fn(unflatten_like(model, theta_hi), batch)
         loss_lo, _ = loss_fn(unflatten_like(model, theta_lo), batch)
         central = (loss_hi - loss_lo) / (2.0 * epsilon)
-        rel = abs(grad[i] - central) / (abs(central) + 1e-12)
-        worst = max(worst, rel)
-    return worst
+        rels.append(abs(grad[i] - central) / (abs(central) + 1e-12))
+    return float(np.max(rels, initial=0.0))
 
 
 def save_checkpoint(path, model: MlpModel) -> None:

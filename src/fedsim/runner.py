@@ -11,8 +11,8 @@ A run lays out its constants once: the test, surrogate and probe sets
 keep their augmented inputs (and the surrogate and probe their class
 indicators) from first use, and `run_one` makes the template's one
 inference kernel at the size of the run's largest inference forward.
-Within a round, every client that sat out the last round trains against
-one non-self gradient, built once.
+The round loop computes each distinct rectification shift once
+(`_round_shift`) and hands the FedGPS trainer the shift itself.
 """
 from __future__ import annotations
 
@@ -289,35 +289,35 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads, d
             "triangle_kappa": max(kappas), "triangle_holds": bool(lhs <= rhs)}
 
 
-def _non_self_gradient(config: ExperimentConfig, server: proto.ServerState,
-                       client: proto.ClientState, shared: dict) -> np.ndarray | None:
-    """The non-self gradient `client` trains against this round, or None
-    while there is none: `fedgps` builds it on the server from the other
-    clients' last deltas, `fedgps_cf` from the last global change less the
-    client's own last delta, which `server.prev_deltas` holds while the
-    client was among the last round's participants.
-
-    Every client that sat out the last round gets the same vector: all of
-    the last round's deltas, or the whole global change. It is built for
-    the first such client and kept in `shared`, which lives for the round.
+def _round_shift(config: ExperimentConfig, server: proto.ServerState,
+                 client: proto.ClientState, shared: dict) -> np.ndarray | None:
+    """The shift `client` steps at this round, `rectification_shift` of
+    nsg_sign times its non-self gradient, or None while there is none.
+    `fedgps` builds the vector on the server from the other clients' last
+    deltas, `fedgps_cf` from the last global change less the client's own
+    last delta, which `server.prev_deltas` holds while the client was among
+    the last round's participants. Every client that sat out the last round
+    gets one shift, from all of the last round's deltas or the whole global
+    change, computed for the first of them and kept in the round's `shared`.
     """
-    if server.prev_global_delta is None:
+    absent = client.id not in server.prev_selected
+    if server.prev_global_delta is None or (
+            config.algo == "fedgps" and not absent and len(server.prev_selected) < 2):
         return None
-    if client.id not in server.prev_selected:
-        if "absent" not in shared:
-            shared["absent"] = (
-                proto.non_self_gradient(server, client.id, config.eta_g, config.eta_l)
-                if config.algo == "fedgps" else
-                proto.non_self_gradient_cf(server.prev_global_delta, None))
+    if absent and "absent" in shared:
         return shared["absent"]
     if config.algo == "fedgps":
-        if len(server.prev_selected) > 1:
-            return proto.non_self_gradient(server, client.id, config.eta_g, config.eta_l)
-        return None
-    # remove this client's contribution to the applied global change:
-    # eta_g * Delta_k / |S_{t-1}|
-    own = config.eta_g * server.prev_deltas[client.id] / len(server.prev_selected)
-    return proto.non_self_gradient_cf(server.prev_global_delta, own)
+        nsg = proto.non_self_gradient(server, client.id, config.eta_g, config.eta_l)
+    else:
+        # remove this client's contribution to the applied global change:
+        # eta_g * Delta_k / |S_{t-1}|
+        own = (None if absent else
+               config.eta_g * server.prev_deltas[client.id] / len(server.prev_selected))
+        nsg = proto.non_self_gradient_cf(server.prev_global_delta, own)
+    shift = alg.rectification_shift(config.nsg_sign * nsg, config.lambda_g)
+    if absent:
+        shared["absent"] = shift
+    return shift
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -376,7 +376,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         deltas: dict[int, np.ndarray] = {}
         uploads: dict[int, np.ndarray] = {}
         control_updates = {}
-        shared_nsg = {}  # the round's non-self gradient of clients absent last round
+        shared_shift = {}  # the round's shift of the clients absent last round
         try:
             for k in selected:
                 if k not in clients:
@@ -388,9 +388,9 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                         client_controls[k] = np.zeros_like(theta0)
                 client = clients[k]
                 if config.algo in RECTIFIED:
-                    nsg = _non_self_gradient(config, server, client, shared_nsg)
+                    shift = _round_shift(config, server, client, shared_shift)
                     deltas[k], protos = alg.fedgps_local_train(
-                        client, template, server.global_params, nsg, train, surrogate,
+                        client, template, server.global_params, shift, train, surrogate,
                         server.global_prototypes, hyper, round_index=t)
                     uploads[k] = proto.upload_prototypes(server, k, protos.means)
                 elif config.algo == "fedprox":

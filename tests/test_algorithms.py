@@ -97,6 +97,18 @@ class TestCompositeObjective:
         assert report["passed"], report
         assert report["max_rel_error"] < 1e-4
 
+    def test_nan_gradient_fails_the_grad_check(self):
+        composite = alg.fedgps_loss_and_grad
+
+        def poisoned(*args):
+            loss, grad = composite(*args)
+            return loss, grad * np.nan
+
+        with mock.patch.object(alg, "fedgps_loss_and_grad", poisoned):
+            report = grad_check_report()
+        assert not report["passed"]
+        assert np.isnan(report["max_rel_error"])
+
     def test_nan_raises_diverged(self):
         model = tiny_model(seed=5)
         x = np.full((2, 4), np.nan)
@@ -448,18 +460,19 @@ class TestInPlaceDriver:
     def test_fedgps(self, with_nsg):
         hyper, theta = self.hyper, self.theta
         nsg = np.random.default_rng(74).standard_normal(theta.size) if with_nsg else None
+        signed = None if nsg is None else hyper.nsg_sign * nsg
         protos = np.random.default_rng(75).standard_normal((3, self.model.embed_dim))
-        delta, out = alg.fedgps_local_train(self.client(), self.model, theta, nsg, self.ds,
-                                            self.surrogate, protos, hyper)
+        delta, out = alg.fedgps_local_train(
+            self.client(), self.model, theta, alg.rectification_shift(signed, hyper.lambda_g),
+            self.ds, self.surrogate, protos, hyper)
         ref_client = self.client()
         cycler = ReferenceCycler(len(self.surrogate), hyper.batch_size,
                                  ref_client.surrogate_rng)
-        raw_nsg = None if nsg is None else -nsg
 
         def grad_fn(m, x, y):
             mb = cycler.next()
             surr = (self.surrogate.features[mb], self.surrogate.labels[mb])
-            return alg.rectified_gradient(m, raw_nsg, hyper.lambda_g, lambda p: (
+            return alg.rectified_gradient(m, signed, hyper.lambda_g, lambda p: (
                 alg.fedgps_loss_and_grad(p, (x, y), surr, protos, hyper)))
 
         ref, ref_end = reference_local_train(ref_client, self.model, theta, self.ds, hyper,
@@ -678,6 +691,13 @@ class TestQuadraticOracle:
             if row["d0"] > 0:
                 assert row["d_new"] < row["d0"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lambda_g", [np.inf, -np.inf, 1e308])
+    def test_non_finite_values_fail(self, lambda_g):
+        report = quadratic_oracle_report(dim=5, lambda_g=lambda_g, seed=0)
+        assert not report["passed"]
+        assert not np.isfinite([row["identity_err"] for row in report["rows"]]).all()
+
 
 def run_local(algo_fn, seed=0, **kw):
     ds = dat.gen_blobs(3, 4, 30, 2.0, 0.5, seed=21)
@@ -823,21 +843,6 @@ class TestFedGpsLocalTrain:
                                                hyper, round_index=4)
         assert delta.shape == (model.num_params,)
         assert protos.means.shape == (2, model.embed_dim)
-
-    def test_nsg_sign_flip_changes_trajectory(self):
-        ds = dat.gen_blobs(2, 4, 20, 2.0, 0.5, seed=34)
-        surrogate = dat.gen_surrogate(dat.make_surrogate_spec(2, 4, seed=35, n_per_class=6))
-        model = tiny_model(seed=36)
-        nsg = np.random.default_rng(37).standard_normal(model.num_params)
-        out = {}
-        for sign in (1.0, -1.0):
-            hyper = alg.FedGpsHyper(batch_size=8, nsg_sign=sign)
-            delta, _ = alg.fedgps_local_train(make_client(np.arange(40), seed=4),
-                                              model, nn.flatten(model), nsg, ds,
-                                              surrogate, np.zeros((2, model.embed_dim)),
-                                              hyper)
-            out[sign] = delta
-        assert not np.array_equal(out[1.0], out[-1.0])
 
 
 class TestProxObjectiveGradient:

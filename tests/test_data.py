@@ -104,6 +104,20 @@ class TestCsv:
         with pytest.raises(dat.FormatError):
             dat.load_csv(path)
 
+    @pytest.mark.parametrize("bad_row", ["0.5,1.5,1.7", "nan,1.5,0", "0.5,inf,1", "0.5,1.5,-1",
+                                         "0.5,1.5,nan", "0.5,x,1", "0.5,1", "0.5,1.5,1,2", ""])
+    def test_bad_row_rejected_by_line(self, tmp_path, bad_row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n0.5,1.5,0\n2.0,-1.0,1\n{bad_row}\n0.0,0.0,1\n")
+        with pytest.raises(dat.FormatError, match="line 4"):
+            dat.load_csv(path)
+
+    def test_whole_number_label_written_as_float_accepted(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("f0,label\n0.5,0.0\n1e3,2\n")
+        ds = dat.load_csv(path)
+        assert np.array_equal(ds.labels, [0, 2]) and ds.num_classes == 3
+
 
 class TestDirichletPartition:
     def test_huge_alpha_is_nearly_uniform(self):

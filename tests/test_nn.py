@@ -331,6 +331,20 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError):
             nn.finite_diff_check(tiny_model(), None, lambda m, b: (0.0, None), epsilon=0.0)
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_gradient_fails_every_tolerance(self, poison):
+        # NaN compared with max() would keep the last finite error
+        rng = np.random.default_rng(16)
+        model = nn.init_mlp(4, (5,), 3, rng)
+        x, y = rng.standard_normal((6, 4)), rng.integers(0, 3, size=6)
+
+        def loss_fn(m, batch):
+            loss, grad = ce_loss_and_grad(m, *batch)
+            return loss, grad * poison
+
+        err = nn.finite_diff_check(model, (x, y), loss_fn, epsilon=1e-5)
+        assert not err < 1e300
+
 
 class TestFlattenRoundTrip:
     @given(seed=st.integers(0, 10_000),

@@ -1,10 +1,12 @@
 """What a run lays out once: the kept inference inputs and kernel, the
-round's shared non-self gradient and shift, the client scratch models and
+round's rectification shifts, the client scratch models and
 the epoch-plan layout. Each fast path against the simple reference path it
 replaced, bit for bit, plus counts that pin the work to once per run."""
 import collections
 import dataclasses
+import json
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -122,9 +124,9 @@ def test_stage2_term_is_the_prototype_divergence():
         assert ev.prototype_divergence(a, b) == ev.class_mean_distance(a, ones, b, ones)
 
 
-class TestRoundNonSelfGradient:
-    """Clients that sat out the last round share one vector and one shift;
-    a re-selected client gets its own, as the per-client formulas give."""
+class TestRoundShift:
+    """Clients that sat out the last round share one shift; a re-selected
+    client gets its own, as the per-client formulas give."""
 
     def server(self):
         rng = np.random.default_rng(9)
@@ -135,25 +137,21 @@ class TestRoundNonSelfGradient:
 
     @pytest.mark.parametrize("algo", ["fedgps", "fedgps_cf"])
     @pytest.mark.parametrize("nsg_sign", [1.0, -1.0])
-    def test_shared_vector_and_shift_match_per_client(self, algo, nsg_sign):
+    def test_shared_shift_matches_per_client(self, algo, nsg_sign):
         cfg = runner.ExperimentConfig(algo=algo, eta_g=0.7, eta_l=0.03, nsg_sign=nsg_sign,
                                       lambda_g=0.4)
         server, shared = self.server(), {}
-        template = nn.init_mlp(3, (4,), 2, np.random.default_rng(10))
-        hyper = cfg.hyper()
         seen = {}
         for k in [0, 1, 2, 3, 5]:  # fresh, re-selected, fresh, re-selected, fresh
-            nsg = runner._non_self_gradient(cfg, server, make_client([0], cid=k), shared)
+            shift = runner._round_shift(cfg, server, make_client([0], cid=k), shared)
             if algo == "fedgps":
                 want = proto.non_self_gradient(server, k, cfg.eta_g, cfg.eta_l)
             else:
                 own = (cfg.eta_g * server.prev_deltas[k] / len(server.prev_selected)
                        if k in server.prev_selected else None)
                 want = proto.non_self_gradient_cf(server.prev_global_delta, own)
-            assert np.array_equal(nsg, want)
-            assert np.array_equal(alg._shift(template, nsg, hyper),
-                                  alg.rectification_shift(nsg_sign * want, cfg.lambda_g))
-            seen[k] = nsg
+            assert np.array_equal(shift, alg.rectification_shift(nsg_sign * want, cfg.lambda_g))
+            seen[k] = shift
         assert seen[0] is seen[2] is seen[5]
         assert seen[1] is not seen[3] and not np.array_equal(seen[1], seen[3])
 
@@ -163,21 +161,43 @@ class TestRoundNonSelfGradient:
         with mock.patch.object(proto, "non_self_gradient",
                                wraps=proto.non_self_gradient) as spy:
             for k in [0, 2, 5, 6, 7]:
-                runner._non_self_gradient(cfg, server, make_client([0], cid=k), shared)
+                runner._round_shift(cfg, server, make_client([0], cid=k), shared)
         assert spy.call_count == 1
 
-    def test_shift_follows_the_vector_not_its_identity(self):
-        template = nn.init_mlp(3, (4,), 2, np.random.default_rng(11))
-        hyper = alg.FedGpsHyper(lambda_g=0.3, nsg_sign=-1.0)
-        nsg = np.random.default_rng(12).standard_normal(template.num_params)
-        first = alg._shift(template, nsg, hyper)
-        nsg *= -2.0  # changed in place: the kept shift must not be reused
-        assert np.array_equal(alg._shift(template, nsg, hyper),
-                              alg.rectification_shift(-nsg, 0.3))
-        assert not np.array_equal(alg._shift(template, nsg, hyper), first)
-        other = alg.FedGpsHyper(lambda_g=0.6, nsg_sign=1.0)
-        assert np.array_equal(alg._shift(template, nsg, other),
-                              alg.rectification_shift(nsg, 0.6))
+    @pytest.mark.parametrize("algo", ["fedgps", "fedgps_cf"])
+    def test_one_shift_per_absent_round_and_reselected_client(self, algo, tmp_path):
+        # 3 of 5 clients a round: rounds with absent clients and re-selected ones
+        cfg = runner.ExperimentConfig(
+            algo=algo, num_classes=3, input_dim=4, n_per_class=20, num_clients=5,
+            sample_rate=0.6, rounds=6, hidden=(6,), surrogate_n_per_class=4,
+            lambda_g=0.3, scenario_seeds=(0,), training_seeds=(0,), out_dir=str(tmp_path))
+        computed, shift = [], alg.rectification_shift
+
+        def counted(nsg, lambda_g):
+            if nsg is not None:  # a step without a shift asks with None
+                computed.append(nsg)
+            return shift(nsg, lambda_g)
+
+        with mock.patch.object(alg, "rectification_shift", counted):
+            result = runner.run_one(cfg, 0, 0)
+        rounds = (Path(result.run_dir) / "rounds.jsonl").read_text().splitlines()
+        selected = [set(json.loads(line)["selected"]) for line in rounds]
+        want = sum(bool(now - last) + len(now & last)
+                   for last, now in zip(selected, selected[1:]))
+        assert any(len(now - last) > 1 for last, now in zip(selected, selected[1:]))
+        assert len(computed) == want
+
+    def test_nsg_sign_flip_changes_trajectory(self, tmp_path):
+        cfg = runner.ExperimentConfig(
+            algo="fedgps", num_classes=2, input_dim=4, n_per_class=20, num_clients=3,
+            sample_rate=1.0, rounds=3, hidden=(6,), surrogate_n_per_class=4,
+            scenario_seeds=(0,), training_seeds=(0,))
+        theta = {}
+        for sign in (1.0, -1.0):
+            run = runner.run_one(dataclasses.replace(cfg, nsg_sign=sign,
+                                                     out_dir=str(tmp_path / str(sign))), 0, 0)
+            theta[sign] = nn.load_checkpoint(Path(run.run_dir) / "checkpoint.bin").theta
+        assert not np.array_equal(theta[1.0], theta[-1.0])
 
 
 class TestPlanLayout:
@@ -238,10 +258,11 @@ class TestClientScratch:
             return made
 
         hyper = alg.FedGpsHyper(batch_size=16, local_epochs=2)
-        nsg = np.random.default_rng(21).standard_normal(self.template.num_params)
+        shift = alg.rectification_shift(
+            np.random.default_rng(21).standard_normal(self.template.num_params), hyper.lambda_g)
         with mock.patch.object(alg, "EpochPlan", recording):
             alg.fedgps_local_train(make_client(self.shard), self.template,
-                                   self.template.theta.copy(), nsg, self.train, self.surrogate,
+                                   self.template.theta.copy(), shift, self.train, self.surrogate,
                                    None, hyper)
         assert len(refs) == 2 and all(ref() is None for ref in refs)
 
@@ -260,11 +281,12 @@ class TestClientScratch:
 
     def test_one_trainee_and_one_shifted_model_per_template(self):
         hyper = alg.FedGpsHyper(batch_size=16)
-        nsg = np.random.default_rng(22).standard_normal(self.template.num_params)
+        shift = alg.rectification_shift(
+            np.random.default_rng(22).standard_normal(self.template.num_params), hyper.lambda_g)
         with mock.patch.object(nn, "MlpModel", wraps=nn.MlpModel) as made:
             for k in range(3):
                 alg.fedgps_local_train(make_client(self.shard, seed=k), self.template,
-                                       self.template.theta.copy(), nsg, self.train,
+                                       self.template.theta.copy(), shift, self.train,
                                        self.surrogate, None, hyper)
         assert made.call_count == 2  # at the first client only
 

@@ -260,6 +260,21 @@ class TestCli:
         assert flag[2:].replace("-", "_") in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad", ["1.7", "nan"])
+    def test_bad_csv_row_is_data_error(self, tmp_path, bad, capsys):
+        path = write_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[-1 if bad == "1.7" else 0] = bad  # a fractional label or a NaN feature
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(["run", "--dataset-kind", "csv", "--csv-path", str(path),
+                         "--num-clients", "4", "--rounds", "1", "--scenario-seeds", "0",
+                         "--algo", "fedavg", "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line 6" in err and "Traceback" not in err
+
     def test_classes_per_client_beyond_file_classes_is_config_error(self, tmp_path, capsys):
         # checked against the file's 3 classes, not num_classes (10), which only blobs use
         code = cli.main(["run", "--dataset-kind", "csv", "--csv-path", str(write_csv(tmp_path)),
@@ -287,6 +302,15 @@ class TestCli:
     def test_diag_quadratic_oracle(self, capsys):
         assert cli.main(["diag", "quadratic-oracle"]) == 0
         assert "identity err" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_diag_non_finite_lambda_g_is_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["diag", "quadratic-oracle", f"--lambda-g={value}"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and "--lambda-g" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_diag_failure_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr("fedsim.diag.quadratic_oracle_report",
