@@ -17,24 +17,30 @@ The alignment distance is the mean over classes of the squared Euclidean
 distance between class-conditional mean embeddings, which keeps the
 gradient exact.
 
-With a surrogate term on, the synergy method lays out each local epoch
-once as an `EpochPlan`: every step's local and surrogate rows side by
-side, each row's cross-entropy index and weight, and the label-only part
-of the alignment terms (a matrix M_i per step that maps embeddings to
-class-mean differences, and per-class weights omega_i). A step is then
-one forward over a slice, one weighted softmax pass, the alignment terms
-as two small products (diff = M_i E - [0; P], and the embedding gradient
-M_i^T (2 omega_i diff)) and one backward. `fedgps_loss_and_grad` runs a
-one-step plan. Each epoch's rows are gathered once with the ones column of
-`nn.Kernel`; trainer steps run on the template's `shared_kernel`.
+Every trainer runs one local-SGD loop, `_local_sgd`, which lays out each
+local epoch once as an `EpochPlan`: every step's local rows and, with a
+surrogate term on, its surrogate rows side by side, each row's
+cross-entropy index and weight, and the label-only part of the alignment
+terms (a matrix M_i per step that maps embeddings to class-mean
+differences, and per-class weights omega_i). A baseline epoch, and a
+synergy epoch with every surrogate term off, is a plan with no surrogate
+rows. A step is then one forward over a slice, one weighted softmax pass,
+the alignment terms as two small products (diff = M_i E - [0; P], and the
+embedding gradient M_i^T (2 omega_i diff)) and one backward. Every step's
+gradient comes through `rectified_gradient`, at theta for the baselines;
+the loop adds FedProx's pull and SCAFFOLD's offset.
+`ce_loss_and_grad` and `fedgps_loss_and_grad` run a one-step plan. Each
+epoch's rows are gathered once with the ones column of `nn.Kernel`;
+trainer steps run on the template's `shared_kernel`.
 
 The template is the run's workspace. Once per run it keeps the trainee
-and the rectified point (`MlpModel.scratch`), the kernels, and the last
-plan layout, which every epoch of a shard of that size reuses. The round
-loop computes each distinct rectification shift once and hands the
-trainer the shift, not the non-self gradient. Prototypes run on the
-template's inference kernel over the surrogate's kept inputs and class
-indicator, so per client they cost one forward and one product.
+and the rectified point (`MlpModel.scratch`), the kernels, and one plan
+layout per shard size and surrogate shape, which every epoch of such a
+shard reuses. The round loop computes each distinct rectification shift
+once and hands the trainer the shift, not the non-self gradient.
+Prototypes run on the template's inference kernel over the surrogate's
+kept inputs and class indicator, so per client they cost one forward and
+one product.
 """
 from __future__ import annotations
 
@@ -45,7 +51,7 @@ from itertools import islice
 import numpy as np
 
 from .data import LabeledDataset, class_indicator
-from .nn import Kernel, MlpModel, augment, unflatten_like
+from .nn import Kernel, MlpModel, ShapeError, unflatten_like
 from .protocol import ClientState, apply_global_delta, mean_delta
 
 
@@ -105,6 +111,10 @@ def hyper_problems(h) -> list[str]:
         problems.append("lambda weights must be >= 0")
     if h.eta_l <= 0:
         problems.append("eta_l must be > 0")
+    if not 0 <= h.momentum < 1:
+        problems.append("momentum must be in [0, 1)")
+    if h.prox_mu < 0:
+        problems.append("prox_mu must be >= 0")
     if h.local_epochs < 1 or h.batch_size < 1:
         problems.append("local_epochs and batch_size must be >= 1")
     if h.nsg_sign not in (1.0, -1.0, 1, -1):
@@ -135,42 +145,14 @@ def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> Prot
     return PrototypeSet(*_means_by_class(embeddings, *surrogate.indicator))
 
 
-def _ce_from_logits(logits: np.ndarray, flat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the logits; row r's label
-    entry is read at the flat index flat[r] = r * C + label."""
-    n = len(logits)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    sums = probs.sum(axis=1)
-    losses = np.log(sums) - shifted.take(flat)
-    probs /= sums[:, None]
-    probs.reshape(-1)[flat] -= 1.0
-    probs /= n
-    return float(losses.sum()) / n, probs
-
-
 def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
-                     l2: float = 0.0, kernel: Kernel | None = None) -> tuple[float, np.ndarray]:
-    """Cross-entropy plus l2*||theta||^2, with the exact flat gradient as a
-    fresh vector. A trainer's step passes the shared `kernel` and rows laid
-    out by `_ce_objective` (`batch_x` with the ones column, `batch_y` as
-    flat indices r * C + label); the gradient is then the kernel's own."""
-    if kernel is None:
-        kernel, batch_x = Kernel(model.widths, len(batch_x)), augment(model, batch_x)
-        batch_y = np.arange(0, len(batch_x) * model.num_classes, model.num_classes) + batch_y
-    loss, dlogits = _ce_from_logits(kernel.forward(model, batch_x).logits, batch_y)
-    return _plus_l2(model, loss, kernel.backward(model, dlogits), l2, "cross-entropy")
-
-
-def _plus_l2(model: MlpModel, loss: float, grad: np.ndarray, l2: float, objective: str):
-    """loss + l2*||theta||^2 and its gradient added into `grad`; non-finite raises."""
-    if l2 != 0.0:
-        theta = model.theta
-        loss += l2 * float(theta @ theta)
-        grad += (2.0 * l2) * theta
-    if not math.isfinite(loss):
-        raise DivergedError(f"non-finite {objective} loss")
-    return loss, grad
+                     l2: float = 0.0) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy plus l2*||theta||^2, with the exact flat gradient
+    as a fresh vector: a one-step `EpochPlan`, the trainers' code path."""
+    x, y = np.asarray(batch_x, dtype=np.float64), np.asarray(batch_y)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ShapeError(f"batch must be (n, {model.input_dim}), got {x.shape}")
+    return EpochPlan(model, x, y, len(y), l2).loss_and_grad(model)
 
 
 def _class_means(embeddings: np.ndarray, labels: np.ndarray, num_classes: int):
@@ -187,7 +169,7 @@ def _means_by_class(embeddings: np.ndarray, onehot: np.ndarray, counts: np.ndarr
 class _PlanLayout:
     """The label-free index arithmetic of an epoch plan over n local rows in
     batches of B, with m surrogate rows per step. It depends only on its
-    arguments: a run's template keeps the last one, which every epoch of a
+    arguments: a run's template keeps one per key, which every epoch of a
     shard of the same size reuses."""
 
     def __init__(self, n: int, batch: int, steps: int, m: int, c: int, surrogate_ce: float):
@@ -201,18 +183,20 @@ class _PlanLayout:
         self.local, self.surr_rows = np.flatnonzero(~surr), np.flatnonzero(surr)
         self.row_c, self.surr_c, self.step_2c = row * c, c * surr, step * (2 * c)
         self.ce_weight = 1.0 / step_local
-        self.ce_weight[surr] = surrogate_ce / m
+        self.ce_weight[surr] = surrogate_ce / max(m, 1)
 
 
 class EpochPlan:
-    """The composite steps of one local epoch, laid out once.
+    """The steps of one local epoch, laid out once.
 
     Step i takes local rows [i*B, (i+1)*B) of the epoch's shard, x_local's
-    `rows` (B = min(batch_size, n)), and the surrogate rows `batches[i]`.
+    `rows` (B = min(batch_size, n)), and, with a `surrogate` (x_surr,
+    y_surr, batches, global_prototypes), the surrogate rows `batches[i]`.
     Its rows [local_i; surrogate_i], gathered once with the kernel's ones
     column, sit contiguously in `x`, so a step's inputs are one slice. Per
     row the plan holds the flat cross-entropy index and the weight:
-    1/n_local on local rows, surrogate_ce/n_surr on surrogate rows.
+    1/n_local on local rows, surrogate_ce/n_surr on surrogate rows. With no
+    surrogate a step is cross-entropy plus l2*||theta||^2 on its local rows.
 
     With an alignment term on, step i's rows of `mt` hold M_i^T, where the
     (2C x rows) matrix M_i turns the step's embeddings E into
@@ -221,36 +205,42 @@ class EpochPlan:
     on the surrogate batch's classes (with global prototypes only) and 0
     elsewhere. omega_i scales a class's difference before anything squares
     it, so a huge embedding that no term weighs cannot make the loss 0*inf.
-    The steps run on `kernel` (by default a fresh one), overwriting it.
+    `hyper` gives the surrogate terms' weights. The steps run on `kernel`
+    (by default a fresh one), overwriting it.
     """
 
-    def __init__(self, x_local: np.ndarray, y_local: np.ndarray, batch_size: int,
-                 x_surr: np.ndarray, y_surr: np.ndarray, batches: np.ndarray,
-                 global_prototypes: np.ndarray | None, hyper: FedGpsHyper, model: MlpModel,
-                 rows=slice(None), kernel: Kernel | None = None):
+    def __init__(self, model: MlpModel, x_local: np.ndarray, y_local: np.ndarray,
+                 batch_size: int, l2: float, rows=slice(None), kernel: Kernel | None = None,
+                 surrogate: tuple | None = None, hyper: FedGpsHyper | None = None):
         y_local = y_local[rows]
-        n, (steps, self.m), c = len(y_local), batches.shape, model.num_classes
+        n, c = len(y_local), model.num_classes
         self.batch = min(batch_size, n)
-        self.c, self.lambda3 = c, hyper.lambda3
-        key = (n, self.batch, steps, self.m, c, hyper.surrogate_ce)
-        last = model.kept("plan layout", dict)
-        if last.get("key") != key:
-            last.update(key=key, layout=_PlanLayout(*key))
-        lay = last["layout"]
+        steps = -(-n // self.batch)
+        x_surr, y_surr, batches, prototypes = surrogate or (None, None, None, None)
+        self.m = 0 if batches is None else batches.shape[1]
+        self.c, self.l2 = c, l2
+        key = (n, self.batch, steps, self.m, c, hyper.surrogate_ce if self.m else 0.0)
+        layouts = model.kept("plan layouts", dict)
+        lay = layouts.get(key)
+        if lay is None:
+            lay = layouts[key] = _PlanLayout(*key)
         self.stride, self.n_local, self.ce_weight = lay.stride, lay.n_local, lay.ce_weight
-        drawn, total = batches.ravel(), len(lay.pos)
+        total = len(lay.pos)
         self.x = np.empty((total, x_local.shape[1] + 1))
         self.x[lay.local, :-1] = x_local[rows]
-        self.x[lay.surr_rows, :-1] = x_surr[drawn]
         self.x[:, -1] = 1.0
         self.kernel = kernel or Kernel(model.widths, self.batch + self.m)
-        labels, y_drawn = np.empty(total, dtype=np.intp), y_surr[drawn]
-        labels[lay.local], labels[lay.surr_rows] = y_local, y_drawn
+        labels = np.empty(total, dtype=np.intp)
+        labels[lay.local] = y_local
+        if self.m:
+            drawn = batches.ravel()
+            self.x[lay.surr_rows, :-1] = x_surr[drawn]
+            labels[lay.surr_rows] = y_drawn = y_surr[drawn]
         self.flat = lay.row_c + labels
 
-        self.prototypes = global_prototypes if hyper.lambda2 > 0 else None
+        self.prototypes = prototypes if self.m and hyper.lambda2 > 0 else None
         self.mt = None
-        if hyper.lambda1 == 0 and self.prototypes is None:
+        if not self.m or (hyper.lambda1 == 0 and self.prototypes is None):
             return
         cell = labels + lay.surr_c  # c for a local row of class c, C + c for a surrogate one
         key = lay.step_2c + cell
@@ -272,34 +262,37 @@ class EpochPlan:
             omega2[:, 1] = present
             omega2[:, 1] *= (2.0 * hyper.lambda2 / present.sum(axis=1))[:, None]
 
-    def loss_and_grad(self, model: MlpModel, start: int = 0) -> tuple[float, np.ndarray]:
-        """Composite loss and exact gradient of the step whose local rows start at `start`."""
-        i = start // self.batch
-        k = self.n_local[i]
-        rows = slice(i * self.stride, i * self.stride + k + self.m)
+    def loss_and_grad(self, model: MlpModel, step: int = 0) -> tuple[float, np.ndarray]:
+        """Loss and exact gradient of step `step` at `model`, l2*||theta||^2
+        included; a non-finite loss raises `DivergedError`."""
+        rows = slice(step * self.stride, step * self.stride + self.n_local[step] + self.m)
         kernel = self.kernel.forward(model, self.x[rows])
         flat, weight, logits = self.flat[rows], self.ce_weight[rows], kernel.logits
-        # `_ce_from_logits`'s softmax, each row normalised and weighted in one pass
+        # the softmax, each row normalised and weighted in one pass
         shifted = logits - logits.max(axis=1, keepdims=True)
         dlogits = np.exp(shifted)
         sums = dlogits.sum(axis=1)
         losses = np.log(sums) - shifted.take(flat)
         dlogits *= (weight / sums)[:, None]
         dlogits.reshape(-1)[flat] -= weight
-        ce_local, ce_surr = float(losses[:k] @ weight[:k]), float(losses[k:] @ weight[k:])
-        stage1 = stage2 = 0.0
+        loss = float(losses @ weight)
         dembed = None
         if self.mt is not None:
-            c, mt = self.c, self.mt[rows]
+            mt = self.mt[rows]
             diff = mt.T @ kernel.embeddings  # [mu - nu; nu]
             if self.prototypes is not None:
-                diff[c:] -= self.prototypes
-            g = diff * self.omega2[i]
-            stage1 = 0.5 * float(np.vdot(g[:c], diff[:c]))
-            stage2 = 0.5 * float(np.vdot(g[c:], diff[c:]))
+                diff[self.c:] -= self.prototypes
+            g = diff * self.omega2[step]
+            loss += 0.5 * float(np.vdot(g, diff))  # stage 1 and stage 2
             dembed = mt @ g
-        return _plus_l2(model, ce_local + ce_surr + stage1 + stage2,
-                        kernel.backward(model, dlogits, dembed), self.lambda3, "composite")
+        grad = kernel.backward(model, dlogits, dembed)
+        if self.l2 != 0.0:
+            theta = model.theta
+            loss += self.l2 * float(theta @ theta)
+            grad += (2.0 * self.l2) * theta
+        if not math.isfinite(loss):
+            raise DivergedError(f"non-finite {'composite' if self.m else 'cross-entropy'} loss")
+        return loss, grad
 
 
 def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
@@ -316,16 +309,17 @@ def fedgps_loss_and_grad(model: MlpModel, local_batch, surrogate_batch,
     class-conditional mean embeddings. Stage 1 covers classes present in
     both batches; stage 2 covers classes present in the surrogate batch
     (the downloaded prototypes are constants, a zero matrix in round 0).
-    The batches make a one-step `EpochPlan`, the trainer's code path. With
+    The batches make a one-step `EpochPlan`, the trainers' code path. With
     the surrogate machinery disabled this is `ce_loss_and_grad` on the
     local batch.
     """
     x_local, y_local = local_batch
-    if surrogate_batch is None or not hyper.uses_surrogate:
-        return ce_loss_and_grad(model, x_local, y_local, hyper.lambda3)
-    return EpochPlan(x_local, y_local, len(y_local), *surrogate_batch,
-                     np.arange(len(surrogate_batch[1]))[None], global_prototypes, hyper,
-                     model).loss_and_grad(model)
+    surrogate = None
+    if surrogate_batch is not None and hyper.uses_surrogate:
+        surrogate = (*surrogate_batch, np.arange(len(surrogate_batch[1]))[None],
+                     global_prototypes)
+    return EpochPlan(model, x_local, y_local, len(y_local), hyper.lambda3, surrogate=surrogate,
+                     hyper=hyper).loss_and_grad(model)
 
 
 def rectification_shift(nsg: np.ndarray | None, lambda_g: float) -> np.ndarray | None:
@@ -368,31 +362,52 @@ def _batch_cycler(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
-               hyper: FedGpsHyper, epoch_grad, round_index: int,
+               dataset: LabeledDataset, hyper: FedGpsHyper, round_index: int,
+               shift: np.ndarray | None = None, surrogate: LabeledDataset | None = None,
+               global_prototypes: np.ndarray | None = None, anchor: np.ndarray | None = None,
                step_offset: np.ndarray | None = None) -> tuple[np.ndarray, MlpModel, int]:
     """Momentum-SGD for E local epochs, each over the shard in a fresh shuffle.
 
-    `epoch_grad(rows)` gathers each epoch's dataset rows, in step order,
-    once and returns `step_grad(model, start, stop)`, the flat gradient for
-    the minibatch of rows start:stop; every step updates `model.theta` in
-    place. `step_offset`, when given, is added to every step's displacement
-    after momentum smoothing (control-variate style). A `DivergedError`
-    from a step is raised again naming the round and the client, without
-    overflow warnings on the way. The trainee is the template's scratch
-    model, and the shared kernel keeps no epoch rows once training ends.
-    Returns (delta, end model, steps).
+    Each epoch is one `EpochPlan` over the shuffled shard's rows, on the
+    template's shared kernel: local cross-entropy plus L2 and, with a
+    `surrogate`, the composite terms over surrogate minibatches drawn in
+    step order from the client's stream. Every step takes its gradient
+    through `rectified_gradient`, at theta + `shift` on the template's
+    scratch point, or at theta when `shift` is None; an `anchor` adds
+    FedProx's pull prox_mu * (theta - anchor) to it. Every step updates
+    `model.theta` in place. `step_offset`, when given, is added to every
+    step's displacement after momentum smoothing (control-variate style).
+    A `DivergedError` from a step is raised again naming the round and the
+    client, without overflow warnings on the way. The trainee is the
+    template's scratch model, and the shared kernel keeps no epoch rows
+    once training ends. Returns (delta, end model, steps).
     """
     model = template.scratch("trainee")
+    at = None if shift is None else template.scratch("rectified point")
     np.copyto(model.theta, theta_start)
     velocity = np.zeros_like(theta_start)
     n = len(client.shard)
-    bs = min(hyper.batch_size, n)
+    steps = -(-n // min(hyper.batch_size, n))
+    m = 0 if surrogate is None else min(hyper.batch_size, len(surrogate))
+    if m:
+        cycler = _batch_cycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
+    pull = 0.0 if anchor is None else hyper.prox_mu
+    kernel = template.shared_kernel(hyper.batch_size + m)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(hyper.local_epochs):
-                step_grad = epoch_grad(client.shard[client.data_rng.permutation(n)])
-                for start in range(0, n, bs):
-                    grad = step_grad(model, start, start + bs)
+                rows = client.shard[client.data_rng.permutation(n)]
+                surrogate_rows = None if not m else (
+                    surrogate.features, surrogate.labels,
+                    np.array(list(islice(cycler, steps))), global_prototypes)
+                plan = EpochPlan(template, dataset.features, dataset.labels, hyper.batch_size,
+                                 hyper.lambda3, rows, kernel, surrogate_rows, hyper)
+                for i in range(steps):
+                    grad = rectified_gradient(model, None, hyper.lambda_g,
+                                              lambda point: plan.loss_and_grad(point, i),
+                                              shift, at)
+                    if pull != 0.0:
+                        grad += pull * (model.theta - anchor)
                     velocity *= hyper.momentum
                     velocity += grad
                     model.theta -= hyper.eta_l * (velocity if step_offset is None
@@ -400,8 +415,8 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
     except DivergedError as err:
         raise DivergedError(str(err), round_index, client.id) from None
     finally:
-        template.shared_kernel(0).release()
-    return model.theta - theta_start, model, hyper.local_epochs * -(-n // bs)
+        kernel.release()
+    return model.theta - theta_start, model, hyper.local_epochs * steps
 
 
 def fedgps_local_train(client: ClientState, template: MlpModel,
@@ -413,79 +428,31 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
 
     `shift` is the round's rectification shift, `rectification_shift` of
     the signed non-self gradient, made by the round loop; every step takes
-    its gradient at theta + shift, on the template's scratch point, or at
-    theta when `shift` is None. With a surrogate term on, each epoch draws
-    its steps' surrogate minibatches in step order and lays the epoch out
-    as one `EpochPlan`; with rectification and all surrogate terms
-    disabled this trajectory is bit-identical to FedAvg's.
+    its gradient at theta + shift, or at theta when `shift` is None. With
+    every surrogate term off an epoch's plan has no surrogate rows, so with
+    rectification off as well this trajectory is bit-identical to FedAvg's.
     Returns the delta and fresh local prototypes over the full surrogate set.
     """
-    at = None if shift is None else template.scratch("rectified point")
-
-    cycler = (_batch_cycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
-              if hyper.uses_surrogate else None)
-
-    def epoch_grad(rows):
-        if cycler is None:
-            objective = _ce_objective(dataset, rows, hyper, template)
-            return lambda model, start, stop: rectified_gradient(
-                model, None, hyper.lambda_g, lambda m: objective(m, start, stop), shift, at)
-
-        bs = min(hyper.batch_size, len(rows))
-        batches = np.array(list(islice(cycler, -(-len(rows) // bs))))
-        plan = EpochPlan(dataset.features, dataset.labels, hyper.batch_size, surrogate.features,
-                         surrogate.labels, batches, global_prototypes, hyper, template, rows,
-                         template.shared_kernel(hyper.batch_size + batches.shape[1]))
-        return lambda model, start, stop: rectified_gradient(
-            model, None, hyper.lambda_g, lambda m: plan.loss_and_grad(m, start), shift, at)
-
-    delta, model_end, _ = _local_sgd(client, template, theta_global, hyper,
-                                     epoch_grad, round_index)
+    delta, model_end, _ = _local_sgd(client, template, theta_global, dataset, hyper,
+                                     round_index, shift,
+                                     surrogate if hyper.uses_surrogate else None,
+                                     global_prototypes)
     return delta, compute_local_prototypes(model_end, surrogate)
-
-
-def _ce_objective(dataset: LabeledDataset, rows: np.ndarray, hyper: FedGpsHyper,
-                  template: MlpModel):
-    """`ce_loss_and_grad` plus L2 over an epoch's rows start:stop on the shared
-    kernel, the rows gathered once with the ones column and flat indices."""
-    bs = min(hyper.batch_size, len(rows))
-    x = augment(template, dataset.features[rows])
-    flat = np.arange(len(rows)) % bs * template.num_classes + dataset.labels[rows]
-    kernel = template.shared_kernel(hyper.batch_size)
-    return lambda model, start, stop: ce_loss_and_grad(
-        model, x[start:stop], flat[start:stop], hyper.lambda3, kernel)
-
-
-def _ce_grad(dataset: LabeledDataset, hyper: FedGpsHyper, template: MlpModel,
-             anchor: np.ndarray | None = None):
-    """Each step's gradient of local cross-entropy plus L2, for `_local_sgd`;
-    with an `anchor`, plus FedProx's pull prox_mu * (theta - anchor)."""
-    def epoch_grad(rows):
-        objective = _ce_objective(dataset, rows, hyper, template)
-
-        def step_grad(model, start, stop):
-            grad = objective(model, start, stop)[1]
-            if anchor is not None and hyper.prox_mu != 0.0:
-                grad += hyper.prox_mu * (model.theta - anchor)
-            return grad
-        return step_grad
-    return epoch_grad
 
 
 def fedavg_local_train(client: ClientState, template: MlpModel,
                        theta_global: np.ndarray, dataset: LabeledDataset,
                        hyper: FedGpsHyper, round_index: int = 0) -> np.ndarray:
     """Plain momentum SGD on local cross-entropy (plus L2)."""
-    return _local_sgd(client, template, theta_global, hyper,
-                      _ce_grad(dataset, hyper, template), round_index)[0]
+    return _local_sgd(client, template, theta_global, dataset, hyper, round_index)[0]
 
 
 def fedprox_local_train(client: ClientState, template: MlpModel,
                         theta_global: np.ndarray, dataset: LabeledDataset,
                         hyper: FedGpsHyper, round_index: int = 0) -> np.ndarray:
     """FedAvg plus the proximal pull mu*(theta - theta_global)."""
-    return _local_sgd(client, template, theta_global, hyper,
-                      _ce_grad(dataset, hyper, template, theta_global), round_index)[0]
+    return _local_sgd(client, template, theta_global, dataset, hyper, round_index,
+                      anchor=theta_global)[0]
 
 
 def scaffold_local_train(client: ClientState, template: MlpModel,
@@ -501,8 +468,8 @@ def scaffold_local_train(client: ClientState, template: MlpModel,
     Afterwards the client control becomes
     c_k - c + (theta_global - theta_end) / (steps * eta_l).
     """
-    delta, model_end, steps = _local_sgd(client, template, theta_global, hyper,
-                                         _ce_grad(dataset, hyper, template), round_index,
+    delta, model_end, steps = _local_sgd(client, template, theta_global, dataset, hyper,
+                                         round_index,
                                          step_offset=server_control - client_control)
     new_control = client_control - server_control + \
         (theta_global - model_end.theta) / (steps * hyper.eta_l)

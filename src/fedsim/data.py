@@ -234,6 +234,8 @@ def load_csv(path) -> LabeledDataset:
         header = next(reader, None)
         if not header or header[-1] != "label":
             raise FormatError(f"{path}: last CSV column must be 'label'")
+        if len(header) < 2:
+            raise FormatError(f"{path}: the header names no feature column before 'label'")
         rows = list(reader)
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -69,8 +69,10 @@ def quadratic_oracle_report(dim: int = 5, num_functions: int = 4,
 
         g_new - grad F = (I - lambda_g H) (grad f_k - grad F),
 
-    and the deviation shrinks whenever ||I - lambda_g H||_2 < 1. A
-    non-finite measured value fails the suite, without numpy warnings.
+    and the deviation shrinks whenever ||I - lambda_g H||_2 < 1. H is
+    symmetric, so that norm is max |1 - lambda_g * eig| over the drawn
+    eigenvalues. A non-finite measured value, a non-finite `lambda_g`
+    included, fails the suite, without numpy warnings.
     """
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -81,7 +83,7 @@ def quadratic_oracle_report(dim: int = 5, num_functions: int = 4,
 
     grad_f = [hess @ (theta - a) for a in anchors]
     grad_global = hess @ (theta - anchors.mean(axis=0))
-    contraction = float(np.linalg.norm(np.eye(dim) - lambda_g * hess, ord=2))
+    contraction = float(np.max(np.abs(1.0 - lambda_g * eigs)))
 
     all_contract = True
     rows = []

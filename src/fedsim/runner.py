@@ -116,6 +116,8 @@ class ExperimentConfig(alg.FedGpsHyper):
         if self.eval_cadence < 1 or self.divergence_cadence < 1:
             problems.append("cadences must be >= 1")
         problems += alg.hyper_problems(self)
+        if not 0 <= self.fedavgm_beta < 1:
+            problems.append("fedavgm_beta must be in [0, 1)")
         if self.partition_kind not in ("dirichlet", "cn"):
             problems.append(f"partition_kind must be dirichlet/cn, got {self.partition_kind!r}")
         if self.partition_kind == "dirichlet":

@@ -129,6 +129,21 @@ def flat_index(labels, num_classes):
     return np.arange(len(labels)) * num_classes + labels
 
 
+def reference_ce_flat(logits, flat):
+    """Mean cross-entropy and its gradient w.r.t. the logits, row r's label
+    entry read at the flat index flat[r] = r * C + label: the softmax the
+    baselines' steps ran before every step became an epoch plan's."""
+    n = len(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    sums = probs.sum(axis=1)
+    losses = np.log(sums) - shifted.take(flat)
+    probs /= sums[:, None]
+    probs.reshape(-1)[flat] -= 1.0
+    probs /= n
+    return float(losses.sum()) / n, probs
+
+
 def reference_class_means(embeddings, labels, num_classes):
     """Loop form of `_class_means`: one mask and one mean per present class."""
     means = np.zeros((num_classes, embeddings.shape[1]))
@@ -147,8 +162,8 @@ def reference_composite(model, local_batch, surrogate_batch, global_prototypes, 
     num_classes = model.num_classes
     trace_l = nn.forward(model, x_local)
     trace_s = nn.forward(model, x_surr)
-    ce_l, dlogits_l = alg._ce_from_logits(trace_l.logits, flat_index(y_local, num_classes))
-    ce_s, dlogits_s = alg._ce_from_logits(trace_s.logits, flat_index(y_surr, num_classes))
+    ce_l, dlogits_l = reference_ce_flat(trace_l.logits, flat_index(y_local, num_classes))
+    ce_s, dlogits_s = reference_ce_flat(trace_s.logits, flat_index(y_surr, num_classes))
     loss = ce_l + hyper.surrogate_ce * ce_s
     demb_l = np.zeros_like(trace_l.embeddings)
     demb_s = np.zeros_like(trace_s.embeddings)
@@ -288,7 +303,7 @@ def reference_ce(logits, labels):
 
 
 def reference_ce_fancy(logits, labels):
-    """`_ce_from_logits` with 2-D fancy indexing [rows, labels], as written
+    """`reference_ce_flat` with 2-D fancy indexing [rows, labels], as written
     before the flat row * C + label indices."""
     rows = np.arange(len(labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -301,7 +316,8 @@ def reference_ce_fancy(logits, labels):
 
 
 class TestCrossEntropy:
-    """`_ce_from_logits` against the forms it replaced, bit for bit."""
+    """The epoch plan's weighted softmax, through `ce_loss_and_grad`,
+    against the softmax forms it replaced."""
 
     @pytest.mark.parametrize("n", [1, 3, 32, 64])
     def test_flat_index_matches_fancy_index(self, n):
@@ -310,20 +326,26 @@ class TestCrossEntropy:
         logits[0, :3] = 0.0  # a tied row maximum
         labels = rng.integers(0, 10, n)
         before = logits.copy()
-        loss, dlogits = alg._ce_from_logits(logits, flat_index(labels, 10))
+        loss, dlogits = reference_ce_flat(logits, flat_index(labels, 10))
         ref_loss, ref_dlogits = reference_ce_fancy(logits, labels)
         assert loss == ref_loss
         assert_same_bits(dlogits, ref_dlogits)
         assert_same_bits(logits, before)
 
     @pytest.mark.parametrize("n", [1, 3, 32, 64])
-    def test_ce_from_logits_matches_reference(self, n):
+    @pytest.mark.parametrize("reference", [reference_ce, reference_ce_fancy])
+    def test_plan_matches_reference(self, n, reference):
+        # 1/n on every row times (p - onehot) against (p - onehot) / n: equal
+        # to rounding, at rtol 1e-12 for loss and gradient
+        model = tiny_model(seed=n, hidden=(6, 5), classes=10)
         rng = np.random.default_rng(n)
-        logits = 4.0 * rng.standard_normal((n, 10))
-        labels = rng.integers(0, 10, n)
-        loss, dlogits = alg._ce_from_logits(logits, flat_index(labels, 10))
-        ref_loss, ref_dlogits = reference_ce(logits, labels)
-        assert loss == ref_loss and np.array_equal(dlogits, ref_dlogits)
+        x, labels = 3.0 * rng.standard_normal((n, 4)), rng.integers(0, 10, n)
+        trace = nn.forward(model, x)
+        ref_loss, ref_dlogits = reference(trace.logits, labels)
+        loss, grad = alg.ce_loss_and_grad(model, x, labels)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(grad, nn.backward(model, trace, ref_dlogits),
+                                   rtol=1e-12, atol=1e-15)
 
 
 class TestHoistedShift:
@@ -548,12 +570,54 @@ class TestEpochPlan:
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["ragged", "short", "two_classes"])
+    @pytest.mark.parametrize("algo", ["fedavg", "fedprox", "scaffold"])
+    def test_baseline_steps_match_loop(self, kind, algo):
+        """Each baseline step's gradient against CE + L2 from the reference
+        softmax, plus FedProx's pull, and its displacement against momentum
+        SGD, plus SCAFFOLD's control offset."""
+        hyper = alg.FedGpsHyper(local_epochs=2, batch_size=8, prox_mu=0.5)
+        shard, theta0 = self.shard(kind), nn.flatten(self.model)
+        offset = 1e-2 * np.random.default_rng(86).standard_normal(theta0.size)
+        steps = []
+
+        def spy(model, nsg, lambda_g, loss_and_grad, shift=None, at=None):
+            assert nsg is None and shift is None
+            loss, grad = loss_and_grad(model)
+            steps.append((model.theta.copy(), loss, grad.copy()))
+            return steps[-1][2]  # `_local_sgd` adds FedProx's pull into it
+
+        client = make_client(shard, seed=85)
+        with mock.patch.object(alg, "rectified_gradient", spy):
+            if algo == "scaffold":
+                delta, _ = alg.scaffold_local_train(client, self.model, theta0, self.ds, hyper,
+                                                    offset, np.zeros_like(offset))
+            else:
+                delta = getattr(alg, f"{algo}_local_train")(client, self.model, theta0,
+                                                             self.ds, hyper)
+        batches = [local for local, _ in self.replay(shard, hyper)]
+        assert len(steps) == len(batches) == 2 * -(-len(shard) // min(8, len(shard)))
+        ends = [theta for theta, _, _ in steps[1:]] + [theta0 + delta]
+        velocity = np.zeros_like(theta0)
+        for (theta, loss, grad), (x, y), end in zip(steps, batches, ends):
+            model = nn.unflatten_like(self.model, theta)
+            trace = nn.forward(model, x)
+            ce, dlogits = reference_ce_flat(trace.logits, flat_index(y, 4))
+            ref_grad = nn.backward(model, trace, dlogits) + (2.0 * hyper.lambda3) * theta
+            if algo == "fedprox":
+                ref_grad += hyper.prox_mu * (theta - theta0)
+            assert loss == pytest.approx(ce + hyper.lambda3 * float(theta @ theta), rel=1e-12)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+            velocity = hyper.momentum * velocity + grad
+            step = velocity + offset if algo == "scaffold" else velocity
+            np.testing.assert_allclose(end, theta - hyper.eta_l * step, rtol=1e-12, atol=1e-15)
+
     def test_draws_the_per_step_surrogate_stream(self):
         hyper = alg.FedGpsHyper(local_epochs=3, batch_size=8, lambda_g=0.0)
         drawn, plan = [], alg.EpochPlan
 
         def recording_plan(*args):
-            drawn.extend(args[5])  # the epoch's surrogate minibatches, one row per step
+            drawn.extend(args[7][2])  # the epoch's surrogate minibatches, one row per step
             return plan(*args)
 
         shard = self.shard("ragged")
@@ -614,7 +678,7 @@ def test_fedgps_step_dispatch_within_budget_of_fedavg(tmp_path):
         num_clients=10, sample_rate=0.5, rounds=4, alpha=0.1, scenario_seeds=(0,),
         training_seeds=(0,), lambda_g=0.2, nsg_sign=-1.0, out_dir=str(tmp_path))
     fedavg = c_calls_per_step(dataclasses.replace(config, algo="fedavg"),
-                              "fedavg_local_train", "ce_loss_and_grad")
+                              "fedavg_local_train", "rectified_gradient")
     fedgps = c_calls_per_step(dataclasses.replace(config, algo="fedgps"),
                               "fedgps_local_train", "rectified_gradient")
     assert fedgps <= 1.25 * fedavg, (fedgps, fedavg)
@@ -690,6 +754,22 @@ class TestQuadraticOracle:
         for row in report["rows"]:
             if row["d0"] > 0:
                 assert row["d_new"] < row["d0"]
+
+    @pytest.mark.parametrize("lambda_g", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_fails_quietly(self, lambda_g, capfd):
+        report = quadratic_oracle_report(dim=5, lambda_g=lambda_g, seed=0)
+        assert not report["passed"]
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("lambda_g", [0.0, 0.5, 1.3, 2.0, -0.7, 1e3])
+    @pytest.mark.parametrize("dim", [1, 5, 12])
+    def test_contraction_is_the_two_norm(self, lambda_g, dim):
+        report = quadratic_oracle_report(dim=dim, lambda_g=lambda_g, seed=dim)
+        rng = np.random.default_rng(dim)  # the report's H, drawn the same way
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        hess = basis @ np.diag(rng.uniform(0.2, 1.5, size=dim)) @ basis.T
+        two_norm = np.linalg.norm(np.eye(dim) - lambda_g * hess, ord=2)
+        assert report["contraction_norm"] == pytest.approx(two_norm, rel=1e-12, abs=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lambda_g", [np.inf, -np.inf, 1e308])

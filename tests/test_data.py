@@ -104,6 +104,13 @@ class TestCsv:
         with pytest.raises(dat.FormatError):
             dat.load_csv(path)
 
+    def test_header_without_a_feature_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("label\n0\n1\n")
+        with pytest.raises(dat.FormatError, match="no feature column") as err:
+            dat.load_csv(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize("bad_row", ["0.5,1.5,1.7", "nan,1.5,0", "0.5,inf,1", "0.5,1.5,-1",
                                          "0.5,1.5,nan", "0.5,x,1", "0.5,1", "0.5,1.5,1,2", ""])
     def test_bad_row_rejected_by_line(self, tmp_path, bad_row):

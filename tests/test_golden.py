@@ -11,7 +11,8 @@ A change that alters numbers on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and reports the diff.
+which prints, per algorithm, the fields that changed against the file it
+replaces; the change reports that diff.
 """
 import dataclasses
 import hashlib
@@ -73,6 +74,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         algos = {a: trajectory(a, Path(tmp)) for a in runner.ALGORITHMS}
+    old = json.loads(GOLDEN.read_text())["algorithms"] if GOLDEN.exists() else {}
+    for algo, new in algos.items():
+        changed = [field for field in new if old.get(algo, {}).get(field) != new[field]]
+        print(f"{algo}: {', '.join(changed) if changed else 'unchanged'}")
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "algorithms": algos},
                                  indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

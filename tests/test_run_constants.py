@@ -1,6 +1,6 @@
 """What a run lays out once: the kept inference inputs and kernel, the
 round's rectification shifts, the client scratch models and
-the epoch-plan layout. Each fast path against the simple reference path it
+the epoch-plan layouts. Each fast path against the simple reference path it
 replaced, bit for bit, plus counts that pin the work to once per run."""
 import collections
 import dataclasses
@@ -201,15 +201,17 @@ class TestRoundShift:
 
 
 class TestPlanLayout:
-    """A plan laid out from the kept layout against one laid out afresh."""
+    """Plans laid out from the template's kept layouts, one per key, against
+    plans laid out afresh."""
 
     ARRAYS = ("x", "flat", "ce_weight", "mt", "omega2")
 
     @pytest.mark.parametrize("n", [5, 45])  # one batch smaller than B; a ragged last batch
-    @pytest.mark.parametrize("lambda1,lambda2,surrogate_ce",
-                             [(0.3, 0.4, 1.0), (0.0, 0.0, 1.0), (0.3, 0.0, 0.0)])
-    def test_kept_layout_gives_the_fresh_plan(self, n, lambda1, lambda2, surrogate_ce):
+    @pytest.mark.parametrize("terms", [(0.3, 0.4, 1.0), (0.0, 0.0, 1.0), (0.3, 0.0, 0.0), None],
+                             ids=["all", "surrogate_ce", "lambda1", "no_surrogate"])
+    def test_kept_layouts_give_the_fresh_plan(self, n, terms):
         train, surrogate = blobs_and_surrogate(seed=13)
+        lambda1, lambda2, surrogate_ce = terms or (0.1, 0.2, 1.0)
         hyper = alg.FedGpsHyper(lambda1=lambda1, lambda2=lambda2, surrogate_ce=surrogate_ce,
                                 batch_size=8)
         protos = np.random.default_rng(14).standard_normal((4, 6))
@@ -220,24 +222,30 @@ class TestPlanLayout:
             rows = order.permutation(len(train))[:size]
             batches = np.array([order.permutation(len(surrogate))[:8]
                                 for _ in range(-(-size // min(8, size)))])
-            return alg.EpochPlan(train.features, train.labels, 8, surrogate.features,
-                                 surrogate.labels, batches, protos, hyper, model, rows)
+            drawn = None if terms is None else (surrogate.features, surrogate.labels, batches,
+                                                protos)
+            return alg.EpochPlan(model, train.features, train.labels, 8, hyper.lambda3, rows,
+                                 surrogate=drawn, hyper=hyper)
 
         # a shard of this size, another size, then this size twice: the last
-        # two reuse the kept layout, each checked against a model that has none
+        # two reuse the layout kept for the first, each checked against a
+        # model that has none
+        layouts = template.kept("plan layouts", dict)
         for i, size in enumerate([n, 12, n, n]):
-            kept = template.kept("plan layout", dict).get("layout")
+            before = dict(layouts)
             reused = plan(template, size, 17 + i)
-            assert (template.kept("plan layout", dict)["layout"] is kept) == (i == 3)
+            assert len(layouts) == (1 if i == 0 else 2)
+            assert (layouts == before) == (i >= 2)
+            assert all(layouts[key] is layout for key, layout in before.items())
             fresh = plan(nn.unflatten_like(template, template.theta.copy()), size, 17 + i)
             assert reused.n_local == fresh.n_local
             for name in self.ARRAYS:
                 got, want = getattr(reused, name, None), getattr(fresh, name, None)
                 assert (got is None) == (want is None) and (
                     got is None or np.array_equal(got, want)), name
-            assert (reused.mt is None) == (lambda1 == 0 and lambda2 == 0)
-            for start in range(0, size, min(8, size)):
-                a, b = reused.loss_and_grad(template, start), fresh.loss_and_grad(template, start)
+            assert (reused.mt is None) == (terms is None or (lambda1 == 0 and lambda2 == 0))
+            for step in range(len(reused.n_local)):
+                a, b = reused.loss_and_grad(template, step), fresh.loss_and_grad(template, step)
                 assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
 
@@ -249,7 +257,8 @@ class TestClientScratch:
         self.template = nn.init_mlp(5, (7, 6), 4, np.random.default_rng(20))
         self.shard = np.arange(0, 120, 2)
 
-    def test_plan_rows_freed_after_fedgps(self):
+    def plans_freed(self, train):
+        """Run `train()` recording a weak reference to each epoch plan's rows."""
         refs, plan = [], alg.EpochPlan
 
         def recording(*args):
@@ -257,27 +266,23 @@ class TestClientScratch:
             refs.append(weakref.ref(made.x))
             return made
 
+        with mock.patch.object(alg, "EpochPlan", recording):
+            train()
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+
+    def test_plan_rows_freed_after_fedgps(self):
         hyper = alg.FedGpsHyper(batch_size=16, local_epochs=2)
         shift = alg.rectification_shift(
             np.random.default_rng(21).standard_normal(self.template.num_params), hyper.lambda_g)
-        with mock.patch.object(alg, "EpochPlan", recording):
-            alg.fedgps_local_train(make_client(self.shard), self.template,
-                                   self.template.theta.copy(), shift, self.train, self.surrogate,
-                                   None, hyper)
-        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        self.plans_freed(lambda: alg.fedgps_local_train(
+            make_client(self.shard), self.template, self.template.theta.copy(), shift,
+            self.train, self.surrogate, None, hyper))
 
     def test_epoch_rows_freed_after_fedavg(self):
-        refs, ce = {}, alg.ce_loss_and_grad  # one epoch buffer per epoch, by identity
-
-        def recording(model, batch_x, *args):
-            refs.setdefault(id(batch_x.base), weakref.ref(batch_x.base))
-            return ce(model, batch_x, *args)
-
         hyper = alg.FedGpsHyper(batch_size=16, local_epochs=2)
-        with mock.patch.object(alg, "ce_loss_and_grad", recording):
-            alg.fedavg_local_train(make_client(self.shard), self.template,
-                                   self.template.theta.copy(), self.train, hyper)
-        assert len(refs) == 2 and all(ref() is None for ref in refs.values())
+        self.plans_freed(lambda: alg.fedavg_local_train(
+            make_client(self.shard), self.template, self.template.theta.copy(), self.train,
+            hyper))
 
     def test_one_trainee_and_one_shifted_model_per_template(self):
         hyper = alg.FedGpsHyper(batch_size=16)
@@ -304,7 +309,6 @@ def count_run_constants(config):
 
     kept = [vars(dat.LabeledDataset)[name] for name in ("augmented", "indicator")]
     with mock.patch.object(nn, "augment", counted("augment", nn.augment)), \
-            mock.patch.object(alg, "augment", counted("augment", nn.augment)), \
             mock.patch.object(nn.Kernel, "__init__", counted("kernel", nn.Kernel.__init__)), \
             mock.patch.object(kept[0], "func", counted("augmented", kept[0].func)), \
             mock.patch.object(kept[1], "func", counted("indicator", kept[1].func)):

@@ -73,6 +73,30 @@ class TestConfigValidation:
         with pytest.raises(runner.ConfigError, match=f"{field} must be finite"):
             cfg.validate()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("momentum", -0.1, "momentum must be in [0, 1)"),
+        ("momentum", 1.0, "momentum must be in [0, 1)"),
+        ("momentum", 1.5, "momentum must be in [0, 1)"),
+        ("prox_mu", -1.0, "prox_mu must be >= 0"),
+        ("fedavgm_beta", -0.5, "fedavgm_beta must be in [0, 1)"),
+        ("fedavgm_beta", 1.0, "fedavgm_beta must be in [0, 1)"),
+        ("fedavgm_beta", 2.0, "fedavgm_beta must be in [0, 1)")])
+    def test_training_knob_out_of_range_rejected(self, tmp_path, field, value, message):
+        cfg = small_config(tmp_path, **{field: value})
+        with pytest.raises(runner.ConfigError) as err:
+            cfg.validate()
+        assert message in str(err.value)
+
+    def test_training_knob_edges_accepted(self, tmp_path):
+        small_config(tmp_path, momentum=0.0, prox_mu=0.0, fedavgm_beta=0.0).validate()
+
+    def test_load_config_rejects_every_knob_at_once(self):
+        with pytest.raises(runner.ConfigError) as err:
+            runner.load_config(None, {"prox_mu": "-1", "momentum": "1.5", "fedavgm_beta": "2"})
+        for message in ("prox_mu must be >= 0", "momentum must be in [0, 1)",
+                        "fedavgm_beta must be in [0, 1)"):
+            assert message in str(err.value)
+
     def test_training_fields_declared_once(self):
         from fedsim.algorithms import FedGpsHyper
         own = set(runner.ExperimentConfig.__annotations__)
@@ -249,6 +273,31 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag,raw,message", [
+        ("--prox-mu", "-1", "prox_mu must be >= 0"),
+        ("--momentum", "1.5", "momentum must be in [0, 1)"),
+        ("--momentum", "-0.5", "momentum must be in [0, 1)"),
+        ("--fedavgm-beta", "2", "fedavgm_beta must be in [0, 1)"),
+        ("--fedavgm-beta", "1", "fedavgm_beta must be in [0, 1)")])
+    def test_training_knob_out_of_range_is_config_error(self, tmp_path, capsys, flag, raw,
+                                                        message):
+        code = cli.main(["run", f"{flag}={raw}", "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_csv_without_a_feature_column_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + "\n".join("0 1 2".split() * 10) + "\n")
+        code = cli.main(["run", "--dataset-kind", "csv", "--csv-path", str(path),
+                         "--num-clients", "4", "--rounds", "1", "--scenario-seeds", "0",
+                         "--algo", "fedavg", "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no feature column" in err and str(path) in err
+        assert "class means" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag,raw", [
         ("--hidden", "0"), ("--hidden", "8,-3"), ("--data-seed", "-1"),

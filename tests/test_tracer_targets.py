@@ -6,6 +6,7 @@ including the two sweeps whose self time it counts as artifacts time.
 Its correctness check also counts one gradient call per local step: a
 `rectified_gradient` call, or a `ce_loss_and_grad` call made directly by a
 trainer. A local step that reaches neither name fails the traced run.
+Every trainer's step goes through `rectified_gradient`.
 
 Its microbenchmarks call the model and layer API directly (`init_mlp`,
 `forward`, `backward`, `unflatten_like`, the gradients, prototypes and
@@ -68,8 +69,7 @@ def test_one_traced_step_gradient_per_local_step(tmp_path, algo):
                    for ks in selected for k in ks)
     assert len(selected) == cfg.rounds and expected > 0
     assert len(counted) == expected
-    assert set(counted) == ({"rectified_gradient"} if algo in runner.RECTIFIED
-                            else {"ce_loss_and_grad"})
+    assert set(counted) == {"rectified_gradient"}
 
 
 def test_microbenchmarks_pass_their_checks(tmp_path):
