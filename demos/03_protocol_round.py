@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 # One federated round by hand: client sampling, delta aggregation, the
 # two non-self-gradient constructions and their sign relation, prototype
-# aggregation, and the communication meter.
+# aggregation, and each algorithm's record with its communication meter.
 import numpy as np
 
 from fedsim import protocol as proto
@@ -41,10 +41,12 @@ uploads = {k: rng.standard_normal((4, 6)) for k in selected}
 agg = proto.aggregate_prototypes(server, uploads)
 print(f"\nglobal prototypes shape {agg.shape} from {len(uploads)} uploads")
 
-# per-client communication units per round; one model = M units, one
-# prototype block = C*embed_dim units
+# each algorithm's record: per-client communication units per round, one
+# model = M units and one prototype block = C*embed_dim units, and whether
+# its local steps are rectified (so a round needs two participants)
 print("\nper-client communication (M=1000, C=10, embed_dim=512):")
-for algo in ("fedavg", "scaffold", "fedgps", "fedgps_cf"):
+for algo, rule in proto.ALGORITHMS.items():
     meter = proto.CommMeter()
     down, up = proto.meter_round(meter, algo, 1000, 10, 512)
-    print(f"  {algo:<10} down {down:6.0f}  up {up:6.0f}")
+    print(f"  {algo:<10} down {down:6.0f}  up {up:6.0f}"
+          f"{'  rectified' if rule.rectified else ''}")

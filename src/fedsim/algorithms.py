@@ -50,7 +50,7 @@ from itertools import islice
 
 import numpy as np
 
-from .data import LabeledDataset, class_indicator
+from .data import LabeledDataset
 from .nn import Kernel, MlpModel, ShapeError, unflatten_like
 from .protocol import ClientState, apply_global_delta, mean_delta
 
@@ -155,14 +155,9 @@ def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
     return EpochPlan(model, x, y, len(y), l2).loss_and_grad(model)
 
 
-def _class_means(embeddings: np.ndarray, labels: np.ndarray, num_classes: int):
-    """Per-class mean embeddings plus counts for one batch; an absent
-    class gets a zero mean and a zero count."""
-    return _means_by_class(embeddings, *class_indicator(labels, num_classes))
-
-
 def _means_by_class(embeddings: np.ndarray, onehot: np.ndarray, counts: np.ndarray):
-    """`_class_means` over a `class_indicator` made beforehand."""
+    """Per-class mean embeddings plus counts over a `data.class_indicator`
+    (onehot, counts); an absent class gets a zero mean and a zero count."""
     return (onehot @ embeddings) / np.maximum(counts, 1)[:, None], counts
 
 
@@ -174,16 +169,16 @@ class _PlanLayout:
 
     def __init__(self, n: int, batch: int, steps: int, m: int, c: int, surrogate_ce: float):
         n_loc = np.minimum(n - np.arange(steps) * batch, batch)
-        self.stride, self.n_local = batch + m, n_loc.tolist()
+        self.stride, self.n_local, self.total = batch + m, n_loc.tolist(), n + steps * m
         # plan rows run step by step, each step's local rows first
-        self.pos = np.arange(n + steps * m)
-        step, row = np.divmod(self.pos, self.stride)
+        step, row = np.divmod(np.arange(self.total), self.stride)
         step_local = n_loc[step]
         surr = row >= step_local
         self.local, self.surr_rows = np.flatnonzero(~surr), np.flatnonzero(surr)
-        self.row_c, self.surr_c, self.step_2c = row * c, c * surr, step * (2 * c)
-        self.ce_weight = 1.0 / step_local
+        self.row_c, self.ce_weight = row * c, 1.0 / step_local
         self.ce_weight[surr] = surrogate_ce / max(m, 1)
+        if m:  # the alignment terms' class cells, read only with surrogate rows
+            self.surr_c, self.step_2c = c * surr, step * (2 * c)
 
 
 class EpochPlan:
@@ -225,7 +220,7 @@ class EpochPlan:
         if lay is None:
             lay = layouts[key] = _PlanLayout(*key)
         self.stride, self.n_local, self.ce_weight = lay.stride, lay.n_local, lay.ce_weight
-        total = len(lay.pos)
+        total = lay.total
         self.x = np.empty((total, x_local.shape[1] + 1))
         self.x[lay.local, :-1] = x_local[rows]
         self.x[:, -1] = 1.0
@@ -249,7 +244,7 @@ class EpochPlan:
         # a row's column of M_i: 1/count in its own class-mean row and, on a
         # surrogate row, -1/count in its class's mu - nu row
         self.mt = np.zeros((total, 2 * c))
-        self.mt[lay.pos, cell] = inv
+        self.mt[np.arange(total), cell] = inv
         self.mt[lay.surr_rows, y_drawn] = -inv[lay.surr_rows]
         present = counts[:, c:] > 0
         self.omega2 = np.zeros((steps, 2 * c, 1))

@@ -1,6 +1,7 @@
-"""Server-side round machinery: client sampling, delta aggregation,
-non-self-gradient material, prototype aggregation, and communication
-accounting.
+"""Server-side round machinery: one `Algorithm` record per algorithm in
+`ALGORITHMS` (what it sends each way, whether its steps are rectified),
+client sampling, delta aggregation, non-self-gradient material, prototype
+aggregation, and communication accounting from the records.
 
 The canonical aggregation order is ascending client id, single-threaded;
 that ordered reduction is the bit-exactness contract even though client
@@ -17,12 +18,33 @@ class ProtocolError(Exception):
     """State or configuration violations in the round loop."""
 
 
+@dataclass(frozen=True)
+class Algorithm:
+    """`down` and `up` count the (models, prototype matrices) sent that way
+    per participant and round. `rectified` local steps take a shift built
+    from other clients' deltas, so a round needs two participants."""
+
+    down: tuple[int, int]
+    up: tuple[int, int]
+    rectified: bool = False
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "fedavg": Algorithm(down=(1, 0), up=(1, 0)),
+    "fedavgm": Algorithm(down=(1, 0), up=(1, 0)),
+    "fedprox": Algorithm(down=(1, 0), up=(1, 0)),
+    "scaffold": Algorithm(down=(2, 0), up=(2, 0)),  # the model and a control variate
+    "fedgps": Algorithm(down=(2, 1), up=(1, 1), rectified=True),  # + the non-self gradient
+    "fedgps_cf": Algorithm(down=(1, 1), up=(1, 1), rectified=True),  # built by the client
+}
+
+
 @dataclass
 class ServerState:
     """Global model plus the previous round's bookkeeping.
 
-    `prev_deltas` keeps the last round's per-client deltas (keys ==
-    `prev_selected`), which is what the non-self gradient is built from;
+    `prev_deltas` keeps the last round's per-client deltas, keyed by its
+    participants, which is what the non-self gradient is built from;
     `prev_global_delta` is the change actually applied to the global
     parameters in the last aggregation.
     """
@@ -30,14 +52,14 @@ class ServerState:
     global_params: np.ndarray
     eta_g: float = 1.0
     round: int = 0
-    prev_selected: tuple[int, ...] = ()
     prev_deltas: dict[int, np.ndarray] = field(default_factory=dict)
     prev_global_delta: np.ndarray | None = None
     global_prototypes: np.ndarray | None = None
 
-    def check_invariants(self) -> None:
-        if set(self.prev_deltas) != set(self.prev_selected):
-            raise ProtocolError("prev_deltas keys must equal prev_selected")
+    @property
+    def prev_selected(self) -> tuple[int, ...]:
+        """The last round's participants, ascending."""
+        return tuple(sorted(self.prev_deltas))
 
 
 @dataclass
@@ -91,7 +113,6 @@ def aggregate(server: ServerState, deltas: dict[int, np.ndarray]) -> np.ndarray:
         if deltas[k].shape != server.global_params.shape:
             raise ProtocolError(f"delta from client {k} has wrong length")
     apply_global_delta(server, deltas, server.eta_g * mean_delta(deltas))
-    server.check_invariants()
     return server.global_params
 
 
@@ -110,10 +131,8 @@ def apply_global_delta(server: ServerState, deltas: dict[int, np.ndarray],
                        applied: np.ndarray) -> None:
     """theta <- theta + applied, rolling the prev_* bookkeeping forward to
     the clients whose `deltas` produced it."""
-    order = sorted(deltas)
     server.global_params = server.global_params + applied
-    server.prev_selected = tuple(order)
-    server.prev_deltas = {k: deltas[k] for k in order}
+    server.prev_deltas = {k: deltas[k] for k in sorted(deltas)}
     server.prev_global_delta = applied
     server.round += 1
 
@@ -186,29 +205,14 @@ def aggregate_prototypes(server: ServerState, uploads: dict[int, np.ndarray],
 
 def meter_round(meter: CommMeter, algo: str, num_params: int, num_classes: int,
                 embed_dim: int) -> tuple[float, float]:
-    """Per-round per-client communication units for one algorithm.
-
-    Model size M = num_params, prototype block P = num_classes*embed_dim:
-
-        fedavg / fedavgm / fedprox : down M,      up M
-        scaffold                   : down 2M,     up 2M   (control variates)
-        fedgps                     : down 2M + P, up M + P
-        fedgps_cf                  : down M + P,  up M + P
-    """
+    """Per-round per-client units for one algorithm: its record's models
+    times M = num_params plus prototype matrices times P = num_classes*embed_dim."""
     if num_params <= 0 or num_classes <= 0 or embed_dim <= 0:
         raise ProtocolError("counts must be positive")
-    m = float(num_params)
-    p = float(num_classes * embed_dim)
-    table = {
-        "fedavg": (m, m),
-        "fedavgm": (m, m),
-        "fedprox": (m, m),
-        "scaffold": (2 * m, 2 * m),
-        "fedgps": (2 * m + p, m + p),
-        "fedgps_cf": (m + p, m + p),
-    }
-    if algo not in table:
+    if algo not in ALGORITHMS:
         raise ProtocolError(f"unknown algorithm tag: {algo!r}")
-    down, up = table[algo]
+    m, p = float(num_params), float(num_classes * embed_dim)
+    rule = ALGORITHMS[algo]
+    down, up = (models * m + prototypes * p for models, prototypes in (rule.down, rule.up))
     meter.record(down, up)
     return down, up

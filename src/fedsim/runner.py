@@ -13,6 +13,9 @@ indicators) from first use, and `run_one` makes the template's one
 inference kernel at the size of the run's largest inference forward.
 The round loop computes each distinct rectification shift once
 (`_round_shift`) and hands the FedGPS trainer the shift itself.
+The algorithm's `protocol.ALGORITHMS` record sets the participant floor,
+the kernel's size and the rectified trainer; trainers and server rules are
+looked up on their modules at call time.
 """
 from __future__ import annotations
 
@@ -33,10 +36,7 @@ from . import eval as ev
 from . import nn
 from . import protocol as proto
 
-ALGORITHMS = ("fedavg", "fedavgm", "fedprox", "scaffold", "fedgps", "fedgps_cf")
-# Path rectification: local training needs a non-self gradient, so each
-# round needs at least two participants.
-RECTIFIED = ("fedgps", "fedgps_cf")
+ALGORITHMS = tuple(proto.ALGORITHMS)
 ENV_OUTPUT_ROOT = "FEDSIM_OUT_ROOT"
 
 
@@ -131,9 +131,10 @@ class ExperimentConfig(alg.FedGpsHyper):
         seeds = {"data_seed": [self.data_seed], "surrogate_seed": [self.surrogate_seed],
                  "scenario_seeds": self.scenario_seeds, "training_seeds": self.training_seeds}
         problems += [f"{name} must be >= 0" for name, v in seeds.items() if min(v, default=0) < 0]
-        if self.algo not in ALGORITHMS:
+        rule = proto.ALGORITHMS.get(self.algo)
+        if rule is None:
             problems.append(f"algo must be one of {ALGORITHMS}, got {self.algo!r}")
-        if self.algo in RECTIFIED and round(self.sample_rate * self.num_clients) < 2:
+        elif rule.rectified and round(self.sample_rate * self.num_clients) < 2:
             problems.append("path rectification needs at least 2 sampled clients per round")
         if self.prototype_agg not in ("mean", "sum"):
             problems.append("prototype_agg must be mean or sum")
@@ -280,8 +281,8 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads, d
         shard = partition.shards[k]
         x = shard_rows[:len(shard)]
         x[:, :-1] = train.features[shard]
-        l_means, l_counts = alg._class_means(embed(local_model, x), train.labels[shard],
-                                             train.num_classes)
+        l_means, l_counts = alg._means_by_class(
+            embed(local_model, x), *dat.class_indicator(train.labels[shard], train.num_classes))
         eps1.append(ev.class_mean_distance(l_means, l_counts, uploads[k], proto_counts))
         k_means, k_counts = alg._means_by_class(embed(local_model, probe.augmented),
                                                 *probe.indicator)
@@ -302,9 +303,8 @@ def _round_shift(config: ExperimentConfig, server: proto.ServerState,
     gets one shift, from all of the last round's deltas or the whole global
     change, computed for the first of them and kept in the round's `shared`.
     """
-    absent = client.id not in server.prev_selected
-    if server.prev_global_delta is None or (
-            config.algo == "fedgps" and not absent and len(server.prev_selected) < 2):
+    absent = client.id not in server.prev_deltas
+    if server.prev_global_delta is None:
         return None
     if absent and "absent" in shared:
         return shared["absent"]
@@ -314,7 +314,7 @@ def _round_shift(config: ExperimentConfig, server: proto.ServerState,
         # remove this client's contribution to the applied global change:
         # eta_g * Delta_k / |S_{t-1}|
         own = (None if absent else
-               config.eta_g * server.prev_deltas[client.id] / len(server.prev_selected))
+               config.eta_g * server.prev_deltas[client.id] / len(server.prev_deltas))
         nsg = proto.non_self_gradient_cf(server.prev_global_delta, own)
     shift = alg.rectification_shift(config.nsg_sign * nsg, config.lambda_g)
     if absent:
@@ -340,12 +340,13 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         n_per_class=config.surrogate_n_per_class)
     surrogate = dat.gen_surrogate(surr_spec)
 
+    rule = proto.ALGORITHMS[config.algo]
     template = nn.init_mlp(train.input_dim, tuple(config.hidden), train.num_classes,
                            stream(training_seed, "init"))
     # one inference kernel, made here at its final size, serves every test,
     # prototype and monitor forward of the run
     inference_rows = [len(test)]
-    if config.algo in RECTIFIED:
+    if rule.rectified:
         inference_rows += [len(surrogate), *map(len, partition.shards)]
     template.inference_kernel(max(inference_rows))
     theta0 = nn.flatten(template)
@@ -364,7 +365,6 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     velocity = np.zeros_like(theta0)  # fedavgm server momentum
     server_control = np.zeros_like(theta0)  # scaffold
     meter = proto.CommMeter()
-    min_sel = 2 if config.algo in RECTIFIED else 1
 
     records = []
     series = []
@@ -374,7 +374,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     for t in range(config.rounds):
         tic = time.perf_counter()
         selected = proto.sample_clients(config.num_clients, config.sample_rate,
-                                        selection_rng, min_size=min_sel)
+                                        selection_rng, min_size=2 if rule.rectified else 1)
         deltas: dict[int, np.ndarray] = {}
         uploads: dict[int, np.ndarray] = {}
         control_updates = {}
@@ -389,7 +389,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                     if config.algo == "scaffold":
                         client_controls[k] = np.zeros_like(theta0)
                 client = clients[k]
-                if config.algo in RECTIFIED:
+                if rule.rectified:
                     shift = _round_shift(config, server, client, shared_shift)
                     deltas[k], protos = alg.fedgps_local_train(
                         client, template, server.global_params, shift, train, surrogate,

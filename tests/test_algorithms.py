@@ -144,8 +144,12 @@ def reference_ce_flat(logits, flat):
     return float(losses.sum()) / n, probs
 
 
+def class_means(embeddings, labels, num_classes):
+    return alg._means_by_class(embeddings, *dat.class_indicator(labels, num_classes))
+
+
 def reference_class_means(embeddings, labels, num_classes):
-    """Loop form of `_class_means`: one mask and one mean per present class."""
+    """Loop form of `class_means`: one mask and one mean per present class."""
     means = np.zeros((num_classes, embeddings.shape[1]))
     counts = np.zeros(num_classes, dtype=np.int64)
     for c in np.unique(labels):
@@ -225,7 +229,7 @@ class TestVectorisedEquivalence:
         rng = np.random.default_rng(n)
         emb = rng.standard_normal((n, 5))
         labels = rng.choice([0, 2, 3, 6], n)  # classes 1, 4, 5 absent
-        means, counts = alg._class_means(emb, labels, 7)
+        means, counts = class_means(emb, labels, 7)
         ref_means, ref_counts = reference_class_means(emb, labels, 7)
         assert np.array_equal(counts, ref_counts)
         np.testing.assert_allclose(means, ref_means, rtol=1e-12, atol=1e-15)
@@ -260,9 +264,9 @@ class TestVectorisedEquivalence:
                                "one_shared": ([0, 3], [3, 4])}[classes]
         emb = np.maximum(rng.standard_normal((n_local + n_surr, 32)), 0.0)
         y_local, y_surr = rng.choice(local_cls, n_local), rng.choice(surr_cls, n_surr)
-        means, counts = alg._class_means(emb, np.concatenate([y_local, y_surr + 5]), 10)
-        mu, n_l = alg._class_means(emb[:n_local], y_local, 5)
-        nu, n_s = alg._class_means(emb[n_local:], y_surr, 5)
+        means, counts = class_means(emb, np.concatenate([y_local, y_surr + 5]), 10)
+        mu, n_l = class_means(emb[:n_local], y_local, 5)
+        nu, n_s = class_means(emb[n_local:], y_surr, 5)
         assert_same_bits(means, np.concatenate([mu, nu]))
         assert_same_bits(counts, np.concatenate([n_l, n_s]))
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsim import nn, runner
+from fedsim import diag, nn, runner
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -54,6 +54,22 @@ def trajectory(algo: str, out_dir: Path) -> dict:
 def test_matches_golden(algo, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert trajectory(algo, tmp_path) == golden["algorithms"][algo]
+
+
+@pytest.mark.parametrize("algo", runner.ALGORITHMS)
+def test_metered_units_match_the_audit_table(algo, tmp_path):
+    # diag writes each algorithm's closed form out apart from protocol.ALGORITHMS
+    run_dir = Path(runner.run_one(dataclasses.replace(CONFIG, algo=algo, out_dir=str(tmp_path)),
+                                  0, 0).run_dir)
+    model = nn.load_checkpoint(run_dir / "checkpoint.bin")
+    audit = diag.comm_audit_report(cases=[(model.num_params, CONFIG.num_classes, model.embed_dim)])
+    (row,) = [row for row in audit["rows"] if row["algo"] == algo]
+    assert row["match"]
+    units = (row["down"], row["up"])
+    records = [json.loads(line) for line in (run_dir / "rounds.jsonl").read_text().splitlines()]
+    assert [(r["comm_down"], r["comm_up"]) for r in records] == [units] * CONFIG.rounds
+    meta = json.loads((run_dir / "checkpoint.meta.json").read_text())
+    assert (meta["total_down"], meta["total_up"]) == tuple(CONFIG.rounds * u for u in units)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -20,6 +20,10 @@ from fedsim import protocol as proto
 from fedsim import runner
 
 
+def class_means(embeddings, labels, num_classes):
+    return alg._means_by_class(embeddings, *dat.class_indicator(labels, num_classes))
+
+
 def make_client(shard, seed=0, cid=0):
     return proto.ClientState(id=cid, shard=np.asarray(shard),
                              data_rng=np.random.default_rng(seed),
@@ -43,8 +47,8 @@ class TestKeptInferenceInputs:
             if step == 1:  # another row count on the same kernel in between
                 model.inference_kernel(1).forward(model, train.augmented[:7])
             got = alg.compute_local_prototypes(model, surrogate)
-            means, counts = alg._class_means(nn.forward(model, surrogate.features).embeddings,
-                                             surrogate.labels, surrogate.num_classes)
+            means, counts = class_means(nn.forward(model, surrogate.features).embeddings,
+                                        surrogate.labels, surrogate.num_classes)
             assert np.array_equal(got.means, means) and np.array_equal(got.counts, counts)
 
     def test_kept_inputs_equal_their_formulas(self):
@@ -70,10 +74,10 @@ class TestKeptInferenceInputs:
 
 def reference_triangle(template, server, selected, theta_start, deltas, uploads, train,
                        partition, probe):
-    """The monitor with a fresh `nn.forward` and `_class_means` per forward,
+    """The monitor with a fresh `nn.forward` and `class_means` per forward,
     and stage 2's term recomputed from the uploads."""
     def means(model, ds_x, labels):
-        return alg._class_means(nn.forward(model, ds_x).embeddings, labels, train.num_classes)
+        return class_means(nn.forward(model, ds_x).embeddings, labels, train.num_classes)
     g_means, g_counts = means(nn.unflatten_like(template, server.global_params),
                               probe.features, probe.labels)
     ones = np.ones(train.num_classes, dtype=np.int64)
@@ -199,6 +203,15 @@ class TestRoundShift:
             theta[sign] = nn.load_checkpoint(Path(run.run_dir) / "checkpoint.bin").theta
         assert not np.array_equal(theta[1.0], theta[-1.0])
 
+    def test_reselected_fedgps_client_with_no_other_delta_is_an_error(self):
+        # run_one samples two clients a round for a rectified algorithm, so
+        # this state is unreachable there; the non-self gradient refuses it
+        server = proto.ServerState(global_params=np.zeros(4))
+        proto.aggregate(server, {3: np.ones(4)})
+        cfg = runner.ExperimentConfig(algo="fedgps")
+        with pytest.raises(proto.ProtocolError, match="client 3"):
+            runner._round_shift(cfg, server, make_client([0], cid=3), {})
+
 
 class TestPlanLayout:
     """Plans laid out from the template's kept layouts, one per key, against
@@ -247,6 +260,13 @@ class TestPlanLayout:
             for step in range(len(reused.n_local)):
                 a, b = reused.loss_and_grad(template, step), fresh.loss_and_grad(template, step)
                 assert a[0] == b[0] and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("n", [5, 45])
+    def test_layout_without_surrogate_rows_keeps_only_what_a_plan_reads(self, n):
+        layout = alg._PlanLayout(n, 8, -(-n // min(8, n)), 0, 4, 0.0)
+        plan_length = {name for name, value in vars(layout).items()
+                       if isinstance(value, np.ndarray) and len(value) == n}
+        assert plan_length <= {"local", "surr_rows", "row_c", "ce_weight"}
 
 
 class TestClientScratch:
