@@ -28,10 +28,9 @@ print(f"client 99 (not selected last round) gets the full mean, "
       f"norm {np.linalg.norm(outsider):.5f}")
 
 # the communication-friendly variant rebuilds the same direction from the
-# change between consecutive global models; with the client's aggregate
-# contribution removed the two constructions are antiparallel
-contribution = server.eta_g * deltas[i] / len(selected)
-cf = proto.non_self_gradient_cf(server.prev_global_delta, contribution)
+# change between consecutive global models less the client's own share,
+# eta_g * delta_i / |S|; the two constructions are antiparallel
+cf = proto.non_self_gradient_cf(server, i, server.eta_g)
 cos = (nsg @ cf) / (np.linalg.norm(nsg) * np.linalg.norm(cf))
 print(f"cosine(server-side, comm-friendly) = {cos:+.6f}  "
       f"(the definitions differ by a leading sign)")

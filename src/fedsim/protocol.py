@@ -1,6 +1,6 @@
 """Server-side round machinery: one `Algorithm` record per algorithm in
 `ALGORITHMS` (what it sends each way, whether its steps are rectified),
-client sampling, delta aggregation, non-self-gradient material, prototype
+client sampling, delta aggregation, both non-self gradients, prototype
 aggregation, and communication accounting from the records.
 
 The canonical aggregation order is ascending client id, single-threaded;
@@ -64,12 +64,13 @@ class ServerState:
 
 @dataclass
 class ClientState:
-    """Per-client persistent state across rounds."""
+    """Per-client persistent state across rounds; `control` is SCAFFOLD's c_k."""
 
     id: int
     shard: np.ndarray
     data_rng: np.random.Generator
     surrogate_rng: np.random.Generator
+    control: np.ndarray | None = None
 
 
 @dataclass
@@ -150,19 +151,22 @@ def non_self_gradient(server: ServerState, client_id: int, eta_g: float,
     return -eta_g * eta_l * mean_delta({k: server.prev_deltas[k] for k in others})
 
 
-def non_self_gradient_cf(global_delta: np.ndarray,
-                         own_contribution: np.ndarray | None) -> np.ndarray:
-    """Communication-friendly client-side variant built from the change
-    between two consecutive global models.
+def non_self_gradient_cf(server: ServerState, client_id: int, eta_g: float) -> np.ndarray:
+    """Communication-friendly variant, which the client builds from the
+    change between two consecutive global models less its own share of it:
 
-    Returns global_delta minus the client's own contribution to it, or
-    global_delta as-is when that is None (the client sat out the last
-    round). Note the sign convention differs from `non_self_gradient` (no
-    leading minus); with two participants the two variants are antiparallel.
+        delta_i = prev_global_delta - eta_g * Delta_i / |S_{t-1}|
+
+    or a copy of the whole change when the client sat out the last round.
+    The sign convention differs from `non_self_gradient` (no leading
+    minus): the two variants are antiparallel.
     """
-    if own_contribution is None:
-        return global_delta.copy()
-    return global_delta - own_contribution
+    if server.prev_global_delta is None:
+        raise ProtocolError(f"no global change yet for client {client_id}")
+    if client_id not in server.prev_deltas:
+        return server.prev_global_delta.copy()
+    own = eta_g * server.prev_deltas[client_id] / len(server.prev_deltas)
+    return server.prev_global_delta - own
 
 
 def upload_prototypes(server: ServerState, client_id: int,

@@ -12,7 +12,9 @@ keep their augmented inputs (and the surrogate and probe their class
 indicators) from first use, and `run_one` makes the template's one
 inference kernel at the size of the run's largest inference forward.
 The round loop computes each distinct rectification shift once
-(`_round_shift`) and hands the FedGPS trainer the shift itself.
+(`_round_shift`) and hands the FedGPS trainer the shift itself. A round
+leaves its state in the `ServerState`, the `ClientState`s (SCAFFOLD's c_k
+included) and its record, which the accuracy series is read from.
 The algorithm's `protocol.ALGORITHMS` record sets the participant floor,
 the kernel's size and the rectified trainer; trainers and server rules are
 looked up on their modules at call time.
@@ -296,12 +298,11 @@ def _round_shift(config: ExperimentConfig, server: proto.ServerState,
                  client: proto.ClientState, shared: dict) -> np.ndarray | None:
     """The shift `client` steps at this round, `rectification_shift` of
     nsg_sign times its non-self gradient, or None while there is none.
-    `fedgps` builds the vector on the server from the other clients' last
-    deltas, `fedgps_cf` from the last global change less the client's own
-    last delta, which `server.prev_deltas` holds while the client was among
-    the last round's participants. Every client that sat out the last round
-    gets one shift, from all of the last round's deltas or the whole global
-    change, computed for the first of them and kept in the round's `shared`.
+    The vector is `protocol.non_self_gradient` for `fedgps` and
+    `protocol.non_self_gradient_cf` for `fedgps_cf`. Every client that sat
+    out the last round gets one shift, from all of the last round's deltas
+    or the whole global change, computed for the first of them and kept in
+    the round's `shared`.
     """
     absent = client.id not in server.prev_deltas
     if server.prev_global_delta is None:
@@ -311,11 +312,7 @@ def _round_shift(config: ExperimentConfig, server: proto.ServerState,
     if config.algo == "fedgps":
         nsg = proto.non_self_gradient(server, client.id, config.eta_g, config.eta_l)
     else:
-        # remove this client's contribution to the applied global change:
-        # eta_g * Delta_k / |S_{t-1}|
-        own = (None if absent else
-               config.eta_g * server.prev_deltas[client.id] / len(server.prev_deltas))
-        nsg = proto.non_self_gradient_cf(server.prev_global_delta, own)
+        nsg = proto.non_self_gradient_cf(server, client.id, config.eta_g)
     shift = alg.rectification_shift(config.nsg_sign * nsg, config.lambda_g)
     if absent:
         shared["absent"] = shift
@@ -332,7 +329,6 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     split_seed = int(stream(config.data_seed, "split").integers(2 ** 31))
     train, test = dat.stratified_split(dataset, config.test_fraction, split_seed)
     partition = build_partition(config, train.labels, scenario_seed)
-    partition.validate(len(train))
 
     surr_spec = dat.make_surrogate_spec(
         train.num_classes, train.input_dim, config.surrogate_seed,
@@ -349,25 +345,22 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     if rule.rectified:
         inference_rows += [len(surrogate), *map(len, partition.shards)]
     template.inference_kernel(max(inference_rows))
-    theta0 = nn.flatten(template)
     server = proto.ServerState(
-        global_params=theta0.copy(), eta_g=config.eta_g,
+        global_params=nn.flatten(template), eta_g=config.eta_g,
         global_prototypes=np.zeros((train.num_classes, template.embed_dim)))
     # Per-client state starts at a client's first selection, so memory
     # follows the clients sampled so far, not all K: its streams are keyed
     # by client id and so begin the same whenever they are made.
     clients: dict[int, proto.ClientState] = {}
-    client_controls: dict[int, np.ndarray] = {}  # scaffold's c_k, zeros at first
     selection_rng = stream(training_seed, "selection")
     hyper = config.hyper()
     probe = test.subset(np.arange(min(256, len(test))))
 
-    velocity = np.zeros_like(theta0)  # fedavgm server momentum
-    server_control = np.zeros_like(theta0)  # scaffold
+    velocity = np.zeros_like(server.global_params)  # fedavgm server momentum
+    server_control = np.zeros_like(server.global_params)  # scaffold
     meter = proto.CommMeter()
 
     records = []
-    series = []
     diverged = False
     run_dir = Path(_output_root(config)) / f"{config.algo}_s{scenario_seed}_t{training_seed}"
 
@@ -385,9 +378,9 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                     clients[k] = proto.ClientState(
                         id=k, shard=partition.shards[k],
                         data_rng=stream(training_seed, "client-data", k),
-                        surrogate_rng=stream(training_seed, "client-surrogate", k))
-                    if config.algo == "scaffold":
-                        client_controls[k] = np.zeros_like(theta0)
+                        surrogate_rng=stream(training_seed, "client-surrogate", k),
+                        control=np.zeros_like(server_control) if config.algo == "scaffold"
+                        else None)
                 client = clients[k]
                 if rule.rectified:
                     shift = _round_shift(config, server, client, shared_shift)
@@ -401,7 +394,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                 elif config.algo == "scaffold":
                     deltas[k], control_updates[k] = alg.scaffold_local_train(
                         client, template, server.global_params, train, hyper,
-                        server_control, client_controls[k], round_index=t)
+                        server_control, client.control, round_index=t)
                 else:  # fedavg, fedavgm
                     deltas[k] = alg.fedavg_local_train(client, template, server.global_params,
                                                        train, hyper, round_index=t)
@@ -418,8 +411,8 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         if config.algo == "scaffold":
             shift = np.zeros_like(server_control)
             for k, new_control in control_updates.items():
-                shift += new_control - client_controls[k]
-                client_controls[k] = new_control
+                shift += new_control - clients[k].control
+                clients[k].control = new_control
             server_control = server_control + shift / config.num_clients
         if uploads:
             proto.aggregate_prototypes(server, uploads, mode=config.prototype_agg)
@@ -429,7 +422,6 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         test_acc = None
         if (t + 1) % config.eval_cadence == 0 or t == config.rounds - 1:
             test_acc = accuracy(template, server.global_params, test)
-        series.append(test_acc)
 
         record = {"round": t, "selected": selected, "test_acc": test_acc,
                   "comm_down": down, "comm_up": up, "divergence": None}
@@ -444,7 +436,8 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
 
     result = RunResult(
         algo=config.algo, scenario_seed=scenario_seed, training_seed=training_seed,
-        accuracy_series=series, run_dir=str(run_dir), diverged=diverged)
+        accuracy_series=[rec["test_acc"] for rec in records], run_dir=str(run_dir),
+        diverged=diverged)
 
     if write_artifacts:
         run_dir.mkdir(parents=True, exist_ok=True)

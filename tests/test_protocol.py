@@ -140,33 +140,59 @@ class TestNonSelfGradient:
 
 class TestNonSelfGradientCf:
     def test_not_selected_returns_global_delta(self):
-        gd = np.array([1.0, -2.0, 3.0])
-        out = proto.non_self_gradient_cf(gd, None)
-        assert np.array_equal(out, gd)
-        assert out is not gd  # a copy: the caller may not alias the server's delta
+        server = make_server(3)
+        proto.aggregate(server, {0: np.array([1.0, -2.0, 3.0]), 1: np.array([3.0, 0.0, 1.0])})
+        out = proto.non_self_gradient_cf(server, 5, server.eta_g)
+        assert np.array_equal(out, server.prev_global_delta)
+        assert out is not server.prev_global_delta  # a copy: the caller may not alias it
 
     def test_sole_participant_cancels_to_zero(self):
-        gd = np.array([1.0, -2.0, 3.0])
-        out = proto.non_self_gradient_cf(gd, gd)
+        server = make_server(3)
+        proto.aggregate(server, {4: np.array([1.0, -2.0, 3.0])})
+        out = proto.non_self_gradient_cf(server, 4, server.eta_g)
         assert np.array_equal(out, np.zeros(3))
 
     def test_zero_global_delta(self):
-        out = proto.non_self_gradient_cf(np.zeros(3), None)
+        server = make_server(3)
+        proto.aggregate(server, {0: np.zeros(3)})
+        out = proto.non_self_gradient_cf(server, 1, server.eta_g)
         assert np.array_equal(out, np.zeros(3))
 
+    def test_no_global_change_yet_is_an_error(self):
+        with pytest.raises(proto.ProtocolError, match="client 2"):
+            proto.non_self_gradient_cf(make_server(3), 2, 1.0)
+
     def test_antiparallel_to_standard_with_two_participants(self):
-        # with |S| = 2 and the client's aggregate contribution removed, the
-        # communication-friendly direction is exactly opposite to the
+        # with |S| = 2 and the client's share of the global change removed,
+        # the communication-friendly direction is exactly opposite to the
         # literal standard definition (which carries a leading minus)
         server = make_server(5, eta_g=1.0)
         deltas = {0: np.random.default_rng(6).standard_normal(5),
                   1: np.random.default_rng(7).standard_normal(5)}
         proto.aggregate(server, deltas)
         std = proto.non_self_gradient(server, 0, eta_g=1.0, eta_l=0.01)
-        contribution = server.eta_g * deltas[0] / len(server.prev_selected)
-        cf = proto.non_self_gradient_cf(server.prev_global_delta, contribution)
+        cf = proto.non_self_gradient_cf(server, 0, server.eta_g)
         cos = (std @ cf) / (np.linalg.norm(std) * np.linalg.norm(cf))
         assert cos == pytest.approx(-1.0, abs=1e-12)
+
+    def test_matches_the_other_participants_share(self):
+        # the definition, summed apart from the code's global-change-less-own
+        # arithmetic: eta_g / |S| * sum of the other participants' deltas
+        rng = np.random.default_rng(21)
+        for size in [2, 3, 4, 5, 6] * 20:
+            server = make_server(9, eta_g=float(rng.uniform(0.1, 3.0)))
+            ids = sorted(int(k) for k in rng.choice(12, size=size, replace=False))
+            deltas = {k: rng.standard_normal(9) * rng.uniform(1e-3, 1e3) for k in ids}
+            proto.aggregate(server, deltas)
+            for k in ids:
+                want = server.eta_g / size * sum(deltas[j] for j in ids if j != k)
+                got = proto.non_self_gradient_cf(server, k, server.eta_g)
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(want)))
+            absent = next(k for k in range(13) if k not in deltas)
+            out = proto.non_self_gradient_cf(server, absent, server.eta_g)
+            assert np.array_equal(out, server.prev_global_delta)
+            assert out is not server.prev_global_delta
 
 
 class TestPrototypeAggregation:

@@ -151,9 +151,7 @@ class TestRoundShift:
             if algo == "fedgps":
                 want = proto.non_self_gradient(server, k, cfg.eta_g, cfg.eta_l)
             else:
-                own = (cfg.eta_g * server.prev_deltas[k] / len(server.prev_selected)
-                       if k in server.prev_selected else None)
-                want = proto.non_self_gradient_cf(server.prev_global_delta, own)
+                want = proto.non_self_gradient_cf(server, k, cfg.eta_g)
             assert np.array_equal(shift, alg.rectification_shift(nsg_sign * want, cfg.lambda_g))
             seen[k] = shift
         assert seen[0] is seen[2] is seen[5]
