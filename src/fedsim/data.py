@@ -170,14 +170,15 @@ def _gaussian_classes(centers: np.ndarray, std: float, n_per_class: int,
 
 
 def gen_surrogate(spec: SurrogateSpec) -> LabeledDataset:
-    """Sample n_per_class points per class around its center.
+    """Sample n_per_class points per class around its center, from a stream
+    apart from the centers', so no point's noise replays a center.
 
     Client-agnostic by construction: no client identity enters the
     generator, so "every client holds the same surrogate set" is realized
     by sharing the one generated instance.
     """
     return _gaussian_classes(spec.class_means, spec.class_std, spec.n_per_class,
-                             np.random.default_rng(spec.seed))
+                             np.random.default_rng([spec.seed, 1]))
 
 
 def gen_blobs(num_classes: int, input_dim: int, n_per_class: int,

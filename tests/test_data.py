@@ -258,6 +258,15 @@ class TestSurrogate:
         a, b = dat.gen_surrogate(spec), dat.gen_surrogate(spec)
         assert np.array_equal(a.features, b.features)
 
+    def test_noise_does_not_replay_the_centers(self):
+        # the run defaults: the points' noise once came from the centers' stream
+        spec = dat.make_surrogate_spec(10, 16, seed=11, mean_scale=3.0, class_std=1.0)
+        ds = dat.gen_surrogate(spec)
+        noise = (ds.features - spec.class_means[ds.labels]) / spec.class_std
+        draws = spec.class_means / 3.0
+        close = np.isclose(noise[:, None, :], draws[None, :, :]).all(axis=2)
+        assert not close.any()
+
     def test_law_of_large_numbers(self):
         spec = dat.make_surrogate_spec(3, 5, seed=5, class_std=1.0, n_per_class=1000)
         ds = dat.gen_surrogate(spec)

@@ -1,0 +1,92 @@
+"""Properties of the round loop and the config loader over drawn configs.
+
+Each draw is a tiny run: a few dozen rows, one hidden layer, two or three
+rounds. Hypothesis shrinks a failing draw to the smallest config that
+still breaks the property.
+"""
+import dataclasses
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fedsim import data as dat
+from fedsim import runner
+
+
+@st.composite
+def tiny_configs(draw):
+    num_clients = draw(st.integers(2, 8))
+    # fedgps is rectified, so a round samples at least two clients
+    rates = [r for r in (0.25, 0.4, 0.5, 0.75, 1.0) if round(r * num_clients) >= 2]
+    num_classes = draw(st.integers(2, 4))
+    partition = {"partition_kind": "dirichlet", "alpha": draw(st.floats(0.05, 10.0))}
+    if draw(st.booleans()):
+        partition = {"partition_kind": "cn",
+                     "classes_per_client": draw(st.integers(1, num_classes))}
+    return runner.ExperimentConfig(
+        algo="fedavg", num_classes=num_classes, input_dim=draw(st.integers(2, 5)),
+        n_per_class=30, num_clients=num_clients, sample_rate=draw(st.sampled_from(rates)),
+        rounds=draw(st.integers(2, 3)), hidden=(draw(st.integers(2, 6)),),
+        batch_size=draw(st.sampled_from([4, 16, 64, 256])),  # 256 exceeds every shard
+        local_epochs=draw(st.integers(1, 2)), eta_l=draw(st.floats(0.001, 0.5)),
+        eval_cadence=draw(st.integers(1, 3)), divergence_cadence=draw(st.integers(1, 3)),
+        surrogate_n_per_class=4, scenario_seeds=(0,), training_seeds=(0,), **partition)
+
+
+def outcome(config, scenario_seed):
+    """The run's checkpoint bytes, accuracy series and divergence flag, or
+    the partition error that stopped it (a draw can leave a shard empty)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            run = runner.run_one(dataclasses.replace(config, out_dir=tmp), scenario_seed, 0)
+        except dat.PartitionError as err:
+            return repr(err)
+        return ((Path(run.run_dir) / "checkpoint.bin").read_bytes(), run.accuracy_series,
+                run.diverged)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=tiny_configs(), scenario_seed=st.integers(0, 3))
+def test_fedgps_with_every_feature_off_is_fedavg(config, scenario_seed):
+    # criterion 2 over drawn configs
+    off = dataclasses.replace(config, algo="fedgps", lambda1=0.0, lambda2=0.0,
+                              surrogate_ce=0.0, lambda_g=0.0)
+    assert outcome(off, scenario_seed) == outcome(config, scenario_seed)
+
+
+# (field, out-of-range value, what the error says about it)
+BAD_VALUES = [
+    ("eta_l", 0.0, "eta_l must be > 0"),
+    ("eta_l", float("nan"), "eta_l must be finite"),
+    ("momentum", 1.0, "momentum must be in [0, 1)"),
+    ("momentum", -0.5, "momentum must be in [0, 1)"),
+    ("prox_mu", -1.0, "prox_mu must be >= 0"),
+    ("prox_mu", float("inf"), "prox_mu must be finite"),
+    ("fedavgm_beta", 1.5, "fedavgm_beta must be in [0, 1)"),
+    ("lambda1", -0.1, "lambda weights must be >= 0"),
+    ("nsg_sign", 0.5, "nsg_sign must be +1 or -1"),
+    ("sample_rate", 0.0, "sample_rate must be in (0, 1]"),
+    ("sample_rate", 1.5, "sample_rate must be in (0, 1]"),
+    ("rounds", 0, "rounds must be >= 1"),
+    ("eval_cadence", 0, "cadences must be >= 1"),
+    ("alpha", -2.0, "alpha must be > 0"),
+    ("test_fraction", 1.0, "test_fraction must be in (0, 1)"),
+    ("noise_std", -1.0, "noise_std must be >= 0"),
+    ("surrogate_std", -1.0, "surrogate_std must be >= 0"),
+    ("surrogate_n_per_class", 0, "surrogate_n_per_class must be >= 1"),
+    ("workers", 0, "workers must be >= 1"),
+    ("data_seed", -1, "data_seed must be >= 0"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=st.lists(st.sampled_from(BAD_VALUES), min_size=1, max_size=8,
+                    unique_by=lambda case: case[0]))
+def test_load_config_names_every_out_of_range_value(bad):
+    # passed as flag strings, so each value is parsed as its field's type first
+    with pytest.raises(runner.ConfigError) as err:
+        runner.load_config(overrides={name: str(value) for name, value, _ in bad})
+    missing = [said for _, _, said in bad if said not in str(err.value)]
+    assert not missing, str(err.value)

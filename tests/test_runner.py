@@ -352,6 +352,16 @@ class TestCli:
         assert cli.main(["diag", "quadratic-oracle"]) == 0
         assert "identity err" in capsys.readouterr().out
 
+    def test_diag_triangle(self, capsys):
+        # 10 fedgps rounds monitored every 2nd: one line per monitored round
+        assert cli.main(["diag", "triangle"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "[PASS] triangle"
+        assert lines[1].startswith("  5 checks, ")
+        rounds = [int(line.split()[1]) for line in lines[2:]]
+        assert rounds == [1, 3, 5, 7, 9]
+        assert all("lhs=" in line and "rhs=" in line for line in lines[2:])
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_diag_non_finite_lambda_g_is_usage_error(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
