@@ -141,14 +141,19 @@ def dirichlet_problems(alpha: float) -> list[str]:
     return ["alpha must be > 0"] if alpha <= 0 else []
 
 
-def cn_problems(classes_per_client: int, num_classes: int | None = None) -> list[str]:
-    """The rule on `cn_partition`'s classes per client, if it is broken; the
-    upper bound applies once the labels' class count is known."""
+def cn_problems(classes_per_client: int, num_clients: int,
+                num_classes: int | None = None) -> list[str]:
+    """The rules on `cn_partition`'s classes per client, where broken; the
+    upper bound, and the clients' cover of every class, apply once the
+    labels' class count is known."""
     if num_classes is None:
         return [] if classes_per_client >= 1 else ["classes_per_client must be >= 1"]
-    if 1 <= classes_per_client <= num_classes:
-        return []
-    return [f"classes_per_client must be in [1, {num_classes}], the classes the labels hold"]
+    if not 1 <= classes_per_client <= num_classes:
+        return [f"classes_per_client must be in [1, {num_classes}], the classes the labels hold"]
+    if num_clients * classes_per_client < num_classes:
+        return [f"cannot cover {num_classes} classes with {num_clients} clients "
+                f"holding {classes_per_client} each"]
+    return []
 
 
 def make_surrogate_spec(num_classes: int, input_dim: int, seed: int,
@@ -348,11 +353,7 @@ def cn_partition(labels, num_clients: int, classes_per_client: int, seed: int) -
     labels = np.asarray(labels, dtype=np.int64)
     num_classes = int(labels.max()) + 1
     n_cls = classes_per_client
-    _raise_any(cn_problems(n_cls, num_classes), PartitionError)
-    if num_clients * n_cls < num_classes:
-        raise PartitionError(
-            f"cannot cover {num_classes} classes with {num_clients} clients "
-            f"holding {n_cls} each")
+    _raise_any(cn_problems(n_cls, num_clients, num_classes), PartitionError)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(num_classes)
     owners = [[] for _ in range(num_classes)]
@@ -364,8 +365,6 @@ def cn_partition(labels, num_clients: int, classes_per_client: int, seed: int) -
     for c in range(num_classes):
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
-        if not owners[c]:
-            raise PartitionError(f"class {c} assigned to no client")
         for k, part in zip(owners[c], np.array_split(idx, len(owners[c]))):
             if len(part) == 0:
                 raise PartitionError(

@@ -7,10 +7,12 @@ identical numeric artifacts; only wallclock fields vary. One master seed
 per concern fans out through named `SeedSequence` keys, so toggling one
 component (say, the algorithm) never perturbs another's stream.
 
-A run lays out its constants once: the test, surrogate and probe sets
-keep their augmented inputs (and the surrogate and probe their class
-indicators) from first use, and `run_one` makes the template's one
-inference kernel at the size of the run's largest inference forward.
+A run lays out its constants once. `run_one` splits the dataset where it
+builds it, so only the train and test sets reach the rounds. The test,
+surrogate and probe sets keep their augmented inputs (and the surrogate
+and probe their class indicators) from first use, and `run_one` makes
+the template's one inference kernel at the size of the run's largest
+inference forward.
 The round loop computes each distinct rectification shift once
 (`_round_shift`) and hands the FedGPS trainer the shift itself. A round
 leaves its state in the `ServerState`, the `ClientState`s (SCAFFOLD's c_k
@@ -126,8 +128,8 @@ class ExperimentConfig(alg.FedGpsHyper):
             problems += dat.dirichlet_problems(self.alpha)
         if self.partition_kind == "cn":
             # a file's class count is known once it is read; the partitioner checks it there
-            problems += dat.cn_problems(self.classes_per_client, self.num_classes
-                                        if self.dataset_kind == "blobs" else None)
+            known = self.num_classes if self.dataset_kind == "blobs" else None
+            problems += dat.cn_problems(self.classes_per_client, self.num_clients, known)
         if not self.scenario_seeds or not self.training_seeds:
             problems.append("scenario_seeds and training_seeds must be non-empty")
         seeds = {"data_seed": [self.data_seed], "surrogate_seed": [self.surrogate_seed],
@@ -325,9 +327,8 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     """One (scenario seed, training seed) unit: T rounds of config.algo.
     Non-finite values raise no numpy warnings: a training loss that goes
     non-finite ends the run, which is then reported as diverged."""
-    dataset = build_dataset(config)
     split_seed = int(stream(config.data_seed, "split").integers(2 ** 31))
-    train, test = dat.stratified_split(dataset, config.test_fraction, split_seed)
+    train, test = dat.stratified_split(build_dataset(config), config.test_fraction, split_seed)
     partition = build_partition(config, train.labels, scenario_seed)
 
     surr_spec = dat.make_surrogate_spec(

@@ -334,9 +334,11 @@ class TestDataRules:
                                                      "noise_std must be >= 0"]
         assert dat.split_problems(0.0) == ["test_fraction must be in (0, 1)"]
         assert dat.dirichlet_problems(0.0) == ["alpha must be > 0"]
-        assert dat.cn_problems(0) == ["classes_per_client must be >= 1"]
-        assert dat.cn_problems(4, 3) == [
+        assert dat.cn_problems(0, 2) == ["classes_per_client must be >= 1"]
+        assert dat.cn_problems(4, 2, 3) == [
             "classes_per_client must be in [1, 3], the classes the labels hold"]
         assert dat.surrogate_problems(0, -1.0) == ["n_per_class must be >= 1",
                                                    "class_std must be >= 0"]
-        assert dat.surrogate_problems(1, 0.0) == dat.cn_problems(3, 3) == []
+        assert dat.cn_problems(1, 2, 4) == ["cannot cover 4 classes with 2 clients holding 1 each"]
+        assert dat.surrogate_problems(1, 0.0) == dat.cn_problems(3, 1, 3) == []
+        assert dat.cn_problems(2, 2, 4) == []

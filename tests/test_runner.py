@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,13 @@ class TestConfigValidation:
         # run directories echo this hash; a reordered or re-declared field must not move it
         assert (runner.config_sha1(runner.ExperimentConfig())
                 == "131ee332427daada66feff213c0b33c0943ba7e3")
+
+    def test_cn_clients_must_cover_every_class(self):
+        # the rule cn_partition raises, reported before any data is built
+        with pytest.raises(runner.ConfigError,
+                           match="cannot cover 4 classes with 2 clients holding 1 each"):
+            runner.load_config(None, {"partition_kind": "cn", "num_classes": "4",
+                                      "num_clients": "2", "classes_per_client": "1"})
 
     def test_missing_files_reported(self, tmp_path):
         cfg = small_config(tmp_path, dataset_kind="idx",
@@ -286,6 +294,15 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_cn_clients_short_of_the_classes_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["run", "--partition-kind", "cn", "--num-classes", "4",
+                         "--num-clients", "2", "--classes-per-client", "1",
+                         "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config") and "cannot cover 4 classes" in err
         assert not (tmp_path / "o").exists()
 
     def test_csv_without_a_feature_column_is_data_error(self, tmp_path, capsys):
@@ -589,6 +606,28 @@ def test_peak_memory_does_not_grow_with_idle_clients(tmp_path, algo):
     growth = (peak(200) - peak(20)) / 180
     vector_bytes = 8 * nn.init_mlp(16, (64, 32), 4, np.random.default_rng(0)).num_params
     assert growth < vector_bytes / 4
+
+
+def test_pre_split_dataset_is_freed_before_training(tmp_path, monkeypatch):
+    """Only the train and test splits outlive the split: the dataset
+    `build_dataset` returns is gone by the first local step."""
+    built, alive_at_first_call = [], []
+    build_dataset, train = runner.build_dataset, runner.alg.fedavg_local_train
+
+    def recording_build(config):
+        dataset = build_dataset(config)
+        built.append(weakref.ref(dataset))
+        return dataset
+
+    def checking_train(*args, **kwargs):
+        if not alive_at_first_call:
+            alive_at_first_call.append(built[0]() is not None)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "build_dataset", recording_build)
+    monkeypatch.setattr(runner.alg, "fedavg_local_train", checking_train)
+    runner.run_one(small_config(tmp_path), 0, 0, write_artifacts=False)
+    assert alive_at_first_call == [False]
 
 
 def test_accuracy_matches_forward_logits(tmp_path):
