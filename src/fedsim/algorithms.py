@@ -30,8 +30,8 @@ embedding gradient M_i^T (2 omega_i diff)) and one backward. Every step's
 gradient comes through `rectified_gradient`, at theta for the baselines;
 the loop adds FedProx's pull and SCAFFOLD's offset.
 `ce_loss_and_grad` and `fedgps_loss_and_grad` run a one-step plan. Each
-epoch's rows are gathered once with the ones column of `nn.Kernel`;
-trainer steps run on the template's `shared_kernel`.
+epoch's feature rows are gathered once; a step hands its slice to the
+template's `shared_kernel`, which adds the ones column.
 
 The template is the run's workspace. Once per run it keeps the trainee
 and the rectified point (`MlpModel.scratch`), the kernels, and one plan
@@ -39,8 +39,8 @@ layout per shard size and surrogate shape, which every epoch of such a
 shard reuses. The round loop computes each distinct rectification shift
 once and hands the trainer the shift, not the non-self gradient.
 Prototypes run on the template's inference kernel over the surrogate's
-kept inputs and class indicator, so per client they cost one forward and
-one product.
+features and kept class indicator, so per client they cost one forward
+and one product.
 """
 from __future__ import annotations
 
@@ -139,9 +139,9 @@ class PrototypeSet:
 
 def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> PrototypeSet:
     """Class-c prototype = mean extractor embedding over surrogate class c,
-    from the surrogate's kept inputs and indicator on `model`'s inference kernel."""
+    from the surrogate's features and kept indicator on `model`'s inference kernel."""
     kernel = model.inference_kernel(len(surrogate))
-    embeddings = kernel.forward(model, surrogate.augmented, classify=False).embeddings
+    embeddings = kernel.forward(model, surrogate.features, classify=False).embeddings
     return PrototypeSet(*_means_by_class(embeddings, *surrogate.indicator))
 
 
@@ -187,8 +187,8 @@ class EpochPlan:
     Step i takes local rows [i*B, (i+1)*B) of the epoch's shard, x_local's
     `rows` (B = min(batch_size, n)), and, with a `surrogate` (x_surr,
     y_surr, batches, global_prototypes), the surrogate rows `batches[i]`.
-    Its rows [local_i; surrogate_i], gathered once with the kernel's ones
-    column, sit contiguously in `x`, so a step's inputs are one slice. Per
+    Its feature rows [local_i; surrogate_i], gathered once, sit
+    contiguously in `x`, so a step's inputs are one slice. Per
     row the plan holds the flat cross-entropy index and the weight:
     1/n_local on local rows, surrogate_ce/n_surr on surrogate rows. With no
     surrogate a step is cross-entropy plus l2*||theta||^2 on its local rows.
@@ -221,15 +221,14 @@ class EpochPlan:
             lay = layouts[key] = _PlanLayout(*key)
         self.stride, self.n_local, self.ce_weight = lay.stride, lay.n_local, lay.ce_weight
         total = lay.total
-        self.x = np.empty((total, x_local.shape[1] + 1))
-        self.x[lay.local, :-1] = x_local[rows]
-        self.x[:, -1] = 1.0
+        self.x = np.empty((total, x_local.shape[1]))
+        self.x[lay.local] = x_local[rows]
         self.kernel = kernel or Kernel(model.widths, self.batch + self.m)
         labels = np.empty(total, dtype=np.intp)
         labels[lay.local] = y_local
         if self.m:
             drawn = batches.ravel()
-            self.x[lay.surr_rows, :-1] = x_surr[drawn]
+            self.x[lay.surr_rows] = x_surr[drawn]
             labels[lay.surr_rows] = y_drawn = y_surr[drawn]
         self.flat = lay.row_c + labels
 
@@ -374,8 +373,7 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
     step's displacement after momentum smoothing (control-variate style).
     A `DivergedError` from a step is raised again naming the round and the
     client, without overflow warnings on the way. The trainee is the
-    template's scratch model, and the shared kernel keeps no epoch rows
-    once training ends. Returns (delta, end model, steps).
+    template's scratch model. Returns (delta, end model, steps).
     """
     model = template.scratch("trainee")
     at = None if shift is None else template.scratch("rectified point")
@@ -409,8 +407,6 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
                                                   else velocity + step_offset)
     except DivergedError as err:
         raise DivergedError(str(err), round_index, client.id) from None
-    finally:
-        kernel.release()
     return model.theta - theta_start, model, hyper.local_epochs * steps
 
 

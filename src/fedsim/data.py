@@ -5,6 +5,10 @@ All generators are pure functions of their seed: the same arguments give
 bit-identical arrays. Partitions index into a parent dataset and always
 satisfy the disjoint-cover invariant (pairwise disjoint shards whose
 union is the full index range, no shard empty).
+
+A `LabeledDataset` holds plain (n, input_dim) features: `nn.Kernel` adds
+the ones column of its input layout itself, so a dataset keeps no
+augmented copy, only its class indicator once asked for it.
 """
 from __future__ import annotations
 
@@ -69,12 +73,6 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
-
-    @cached_property
-    def augmented(self) -> np.ndarray:
-        """The features with a trailing ones column, the input layout of
-        `nn.Kernel`; made at first use and kept with the dataset."""
-        return np.concatenate([self.features, np.ones((len(self), 1))], axis=1)
 
     @cached_property
     def indicator(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,17 +9,19 @@ that `model.blocks[i]` views; every pass reads the layers through these
 views. `flatten` returns a copy of theta, and `unflatten_like` builds a
 model over a given vector.
 
-Every pass runs through a `Kernel`: with a trailing ones column on each
-layer's input, a layer is one product [h, 1] @ [W; b], and backward's
-[h, 1]^T @ dz is the weight and bias gradient at once. `forward` and
-`backward` make a kernel per batch and return fresh arrays.
+Every pass runs through a `Kernel`, which owns each layer's input as
+[h, 1], its ones column set once: a layer is one product [h, 1] @ [W; b],
+and backward's [h, 1]^T @ dz is the weight and bias gradient at once.
+Callers pass (n, input_dim) features; the kernel copies them into its own
+input block, so the ones column is written nowhere else and no caller's
+rows outlive the pass. `forward` and `backward` make a kernel per batch and
+return fresh arrays.
 
 A run's template model keeps what the run reuses, each made once per run
 at first use: the `shared_kernel` its trainers step on, the forward-only
 `inference_kernel` for prototypes, test accuracy and the monitor, and
 `scratch` models (the trainee, the rectified point), which share the
-template's kernels. Each use overwrites the last, and the trainers
-`release` their rows from the shared kernel when local training ends.
+template's kernels. Each use overwrites the last.
 """
 from __future__ import annotations
 
@@ -119,19 +121,19 @@ def _blocks(flat: np.ndarray, widths) -> list[np.ndarray]:
 class Kernel:
     """Buffers for the passes of one model shape over up to `capacity` rows.
 
-    `forward(model, x)` takes rows with the ones column. A hidden layer
-    writes its product into its own augmented buffer (ones column set
-    once) and rectifies the whole, contiguous buffer in place. `backward`
-    fills dh, the masks (each activation's sign) and one gradient vector,
-    made at its first call. n rows use each buffer's first n: the same
-    strides and bits as a kernel of n rows. The views of each row count are
-    made once and kept; the input rows are not: a forward holds them until
-    the next forward or `release`.
+    Each layer's input is the kernel's own augmented buffer [h, 1], its ones
+    column set once. `forward(model, x)` copies (n, input_dim) rows into the
+    first, `inputs` views them there, and a hidden layer writes its product
+    into the next buffer and rectifies that whole, contiguous buffer in
+    place. `backward` fills dh, the masks (each activation's sign) and one
+    gradient vector, made at its first call. n rows use each buffer's first
+    n: the same strides and bits as a kernel of n rows. The views of each
+    row count are made once and kept; no caller's array is.
     """
 
     def __init__(self, widths, capacity: int):
-        self.widths, self.capacity, self.n, self._a = tuple(widths), capacity, -1, [None]
-        self._aug = [np.empty((capacity, w + 1)) for w in self.widths[1:-1]]
+        self.widths, self.capacity, self.n = tuple(widths), capacity, -1
+        self._aug = [np.empty((capacity, w + 1)) for w in self.widths[:-1]]
         for a in self._aug:
             a[:, -1] = 1.0
         self._logits = np.empty((capacity, self.widths[-1]))
@@ -140,24 +142,16 @@ class Kernel:
 
     def _rows(self, n: int) -> None:
         if n not in self._views:
-            aug = [a[:n] for a in self._aug]  # layers 1.. augmented inputs
-            views = (aug, [a[:, :-1] for a in aug], self._logits[:n])  # activations, logits
+            aug = [a[:n] for a in self._aug]  # each layer's input [h, 1]
+            views = (aug, [a[:, :-1] for a in aug], self._logits[:n])  # h, logits
             if self.grad is not None:
                 sign = [s[:n] for s in self._sign]
                 views += ([d[:n] for d in self._dh], sign, [s[:, :-1] for s in sign])
             self._views[n] = views
-        aug, self.acts, self.logits, *grad = self._views[n]
-        self.n, self._a = n, [self._a[0], *aug]
+        self._a, (self.inputs, *self.acts), self.logits, *grad = self._views[n]
+        self.n = n
         if grad:
             self._d, self._s, self._m = grad
-
-    def release(self) -> None:
-        """Drop the last forward's input rows, so the kernel keeps them from no one."""
-        self._a[0] = None
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return self._a[0][:, :-1]
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -165,10 +159,15 @@ class Kernel:
         return self.acts[-1] if self.acts else self.inputs
 
     def forward(self, model: MlpModel, x: np.ndarray, classify: bool = True) -> Kernel:
+        """The pass over `x`, (n, input_dim) rows with n <= capacity; any
+        other shape raises `ShapeError`."""
+        if x.shape[1:] != (self.widths[0],) or len(x) > self.capacity:
+            raise ShapeError(f"rows must be (n <= {self.capacity}, {self.widths[0]}), "
+                             f"got {x.shape}")
         if len(x) != self.n:
             self._rows(len(x))
+        self.inputs[...] = x
         a = self._a
-        a[0] = x
         for i, z in enumerate(self.acts):
             np.matmul(a[i], model.blocks[i], out=z)
             np.maximum(a[i + 1], 0.0, out=a[i + 1])
@@ -181,7 +180,7 @@ class Kernel:
         """The flat gradient of the last `forward`, in the kernel's own vector."""
         if self.grad is None:
             self._dh = [np.empty((self.capacity, w)) for w in self.widths[1:-1]]
-            self._sign = [np.empty_like(a) for a in self._aug]
+            self._sign = [np.empty_like(a) for a in self._aug[1:]]
             self.grad = np.empty(model.num_params)
             self._g = _blocks(self.grad, self.widths)
             self._views.clear()
@@ -219,18 +218,13 @@ def unflatten_like(template: MlpModel, vec: np.ndarray) -> MlpModel:
     return MlpModel(template.widths, vec)
 
 
-def augment(model: MlpModel, batch) -> np.ndarray:
-    """A float64 copy of an (n, input_dim) batch with a trailing ones column."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.input_dim:
-        raise ShapeError(f"batch must be (n, {model.input_dim}), got {batch.shape}")
-    return np.concatenate([batch, np.ones((len(batch), 1))], axis=1)
-
-
 def forward(model: MlpModel, batch: np.ndarray) -> Kernel:
-    """Run a batch through a fresh kernel, the trace `backward` takes, with
-    `logits`, `acts` and `embeddings` (the input when there is no hidden layer)."""
-    x = augment(model, batch)
+    """Run an (n, input_dim) batch through a fresh kernel, the trace
+    `backward` takes, with `logits`, `acts` and `embeddings` (the input
+    when there is no hidden layer)."""
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ShapeError(f"batch must be (n, {model.input_dim}), got {x.shape}")
     return Kernel(model.widths, len(x)).forward(model, x)
 
 

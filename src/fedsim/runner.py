@@ -8,11 +8,11 @@ per concern fans out through named `SeedSequence` keys, so toggling one
 component (say, the algorithm) never perturbs another's stream.
 
 A run lays out its constants once. `run_one` splits the dataset where it
-builds it, so only the train and test sets reach the rounds. The test,
-surrogate and probe sets keep their augmented inputs (and the surrogate
-and probe their class indicators) from first use, and `run_one` makes
-the template's one inference kernel at the size of the run's largest
-inference forward.
+builds it, so only the train and test sets reach the rounds. The
+surrogate and probe sets keep their class indicators from first use, and
+`run_one` makes the template's one inference kernel at the size of the
+run's largest inference forward; every forward hands that kernel plain
+features, and the kernel adds the ones column.
 The round loop computes each distinct rectification shift once
 (`_round_shift`) and hands the FedGPS trainer the shift itself. A round
 leaves its state in the `ServerState`, the `ClientState`s (SCAFFOLD's c_k
@@ -26,6 +26,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 import time
 import zlib
@@ -219,9 +220,9 @@ def build_partition(config: ExperimentConfig, labels, scenario_seed: int) -> dat
 
 
 def accuracy(template: nn.MlpModel, theta: np.ndarray, dataset: dat.LabeledDataset) -> float:
-    """Accuracy of theta on the dataset's kept inputs, on the template's inference kernel."""
+    """Accuracy of theta on the dataset, on the template's inference kernel."""
     kernel = template.inference_kernel(len(dataset))
-    logits = kernel.forward(nn.unflatten_like(template, theta), dataset.augmented).logits
+    logits = kernel.forward(nn.unflatten_like(template, theta), dataset.features).logits
     return float(np.mean(logits.argmax(axis=1) == dataset.labels))
 
 
@@ -262,18 +263,15 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads, d
     clients' prototype matrices, over the full surrogate set: no class absent.
     Stage 2's term is the largest of `divergences`, each client's
     `prototype_divergence` from the global prototypes.
-    Every embedding runs on the template's inference kernel: the probe's on
-    its kept inputs and class indicator, a shard's on its rows gathered
-    into a buffer that the template keeps, with the ones column set once."""
-    most = max(map(len, partition.shards))
-    kernel = template.inference_kernel(max(len(probe), most))
-    shard_rows = template.kept("monitor rows", lambda: np.ones((most, train.input_dim + 1)))
+    Every embedding runs on the template's inference kernel, over the
+    probe's features with its kept class indicator, or a shard's rows."""
+    kernel = template.inference_kernel(max(len(probe), *map(len, partition.shards)))
 
     def embed(model, x):
         return kernel.forward(model, x, classify=False).embeddings
 
     global_model = nn.unflatten_like(template, server.global_params)
-    g_means, g_counts = alg._means_by_class(embed(global_model, probe.augmented),
+    g_means, g_counts = alg._means_by_class(embed(global_model, probe.features),
                                             *probe.indicator)
     proto_counts = np.ones(probe.num_classes, dtype=np.int64)
     lhs = ev.class_mean_distance(g_means, g_counts, server.global_prototypes, proto_counts)
@@ -283,17 +281,17 @@ def _triangle_fields(template, server, selected, theta_start, deltas, uploads, d
     for k in selected:
         np.add(theta_start, deltas[k], out=local_model.theta)
         shard = partition.shards[k]
-        x = shard_rows[:len(shard)]
-        x[:, :-1] = train.features[shard]
         l_means, l_counts = alg._means_by_class(
-            embed(local_model, x), *dat.class_indicator(train.labels[shard], train.num_classes))
+            embed(local_model, train.features[shard]),
+            *dat.class_indicator(train.labels[shard], train.num_classes))
         eps1.append(ev.class_mean_distance(l_means, l_counts, uploads[k], proto_counts))
-        k_means, k_counts = alg._means_by_class(embed(local_model, probe.augmented),
+        k_means, k_counts = alg._means_by_class(embed(local_model, probe.features),
                                                 *probe.indicator)
         kappas.append(ev.class_mean_distance(k_means, k_counts, g_means, g_counts))
     rhs = max(eps1) + max(divergences) + max(kappas)
+    holds = bool(lhs <= rhs) if math.isfinite(lhs) and math.isfinite(rhs) else None
     return {"triangle_lhs": lhs, "triangle_rhs": rhs,
-            "triangle_kappa": max(kappas), "triangle_holds": bool(lhs <= rhs)}
+            "triangle_kappa": max(kappas), "triangle_holds": holds}
 
 
 def _round_shift(config: ExperimentConfig, server: proto.ServerState,
@@ -444,7 +442,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         run_dir.mkdir(parents=True, exist_ok=True)
         with open(run_dir / "rounds.jsonl", "w") as fh:
             for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.write(_json_line(rec) + "\n")
         echo = asdict(config)
         echo["scenario_seed"] = scenario_seed
         echo["training_seed"] = training_seed
@@ -462,6 +460,13 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         with open(run_dir / "checkpoint.meta.json", "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
     return result
+
+
+def _json_line(record: dict) -> str:
+    """`record` as one line of strict JSON: a non-finite float, which a
+    diverging run can log, is written as null."""
+    return json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in record.items()}, sort_keys=True)
 
 
 def _output_root(config: ExperimentConfig) -> Path:

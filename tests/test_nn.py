@@ -162,10 +162,10 @@ class TestInPlaceLayers:
     def test_embed_bit_identical_to_forward(self, hidden, rows):
         # the inference path skips the classifier and rectifies in place
         model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
-        x = nn.augment(model, np.random.default_rng(300 + rows).standard_normal((rows, 16)))
+        x = np.random.default_rng(300 + rows).standard_normal((rows, 16))
         before = x.tobytes()
         embedded = nn.Kernel(model.widths, rows).forward(model, x, classify=False).embeddings
-        assert embedded.tobytes() == nn.forward(model, x[:, :-1]).embeddings.tobytes()
+        assert embedded.tobytes() == nn.forward(model, x).embeddings.tobytes()
         assert x.tobytes() == before
 
     @pytest.mark.parametrize("with_dembed", [False, True])
@@ -241,8 +241,7 @@ class TestKernelReuse:
     def test_fewer_rows_same_bits_as_fresh(self, hidden, rows):
         model = nn.init_mlp(16, hidden, 10, np.random.default_rng(rows))
         rng = np.random.default_rng(600 + rows)
-        big, x = nn.augment(model, rng.standard_normal((64, 16))), nn.augment(
-            model, rng.standard_normal((rows, 16)))
+        big, x = rng.standard_normal((64, 16)), rng.standard_normal((rows, 16))
         dlogits = rng.standard_normal((rows, 10))
         dembed = rng.standard_normal((rows, model.embed_dim))
         reused = nn.Kernel(model.widths, 64)
@@ -254,6 +253,20 @@ class TestKernelReuse:
         assert reused.embeddings.tobytes() == fresh.embeddings.tobytes()
         assert (reused.backward(model, dlogits, dembed).tobytes()
                 == fresh.backward(model, dlogits, dembed).tobytes())
+
+    @pytest.mark.parametrize("shape", [(3, 17), (3, 1), (65, 16), (16,)])
+    def test_forward_rejects_rows_it_cannot_hold(self, shape):
+        # (n, 17) is the augmented layout the kernel now adds itself, and
+        # the copy into the input block would broadcast an (n, 1) column
+        model = nn.init_mlp(16, (6,), 10, np.random.default_rng(0))
+        with pytest.raises(nn.ShapeError):
+            nn.Kernel(model.widths, 64).forward(model, np.zeros(shape))
+
+    def test_forward_keeps_a_copy_of_the_rows(self):
+        model = nn.init_mlp(16, (6,), 10, np.random.default_rng(1))
+        x = np.random.default_rng(2).standard_normal((5, 16))
+        kernel = nn.Kernel(model.widths, 8).forward(model, x)
+        assert np.array_equal(kernel.inputs, x) and not np.shares_memory(kernel.inputs, x)
 
     def test_shared_kernel_grows_and_is_reused(self):
         model = tiny_model(seed=40)

@@ -6,8 +6,10 @@ still breaks the property.
 """
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fedsim import data as dat
 from fedsim import nn, runner
+from fedsim import protocol as proto
 
 
 @st.composite
@@ -122,6 +125,69 @@ def test_fedgps_matches_fedgps_cf_with_the_sign_flipped(config, scenario_seed, l
     steps = config.rounds * config.local_epochs * max(
         -(-len(shard) // min(config.batch_size, len(shard))) for shard in shards)
     np.testing.assert_allclose(gps, cf, rtol=0, atol=1e-12 * steps * np.abs(cf).max())
+
+
+def refuse(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=tiny_configs(), algo=st.sampled_from(runner.ALGORITHMS),
+       log_eta=st.floats(-3.0, 200.0), scenario_seed=st.integers(0, 3))
+def test_any_step_size_finishes_with_strict_complete_logs(config, algo, log_eta, scenario_seed):
+    """Up to eta_l = 1e200 a run returns, diverged or not, and every line of
+    its rounds.jsonl is strict JSON. A run not flagged diverged logs every
+    round, with a finite test accuracy on each evaluation round. The one
+    exception allowed is the partitioner's, raised before round 0 when a
+    draw leaves a shard empty."""
+    config = dataclasses.replace(config, algo=algo, eta_l=10.0 ** log_eta)
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            run = runner.run_one(dataclasses.replace(config, out_dir=tmp), scenario_seed, 0)
+        except dat.PartitionError:
+            return
+        lines = (Path(run.run_dir) / "rounds.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=refuse) for line in lines]
+    if run.diverged:
+        return
+    assert [r["round"] for r in records] == list(range(config.rounds))
+    evaluated = [(t + 1) % config.eval_cadence == 0 or t == config.rounds - 1
+                 for t in range(config.rounds)]
+    assert [r["test_acc"] is not None for r in records] == evaluated
+    assert all(math.isfinite(r["test_acc"]) for r in records if r["test_acc"] is not None)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=tiny_configs(), algo=st.sampled_from(runner.ALGORITHMS),
+       scenario_seed=st.integers(0, 3))
+def test_client_state_is_built_at_first_selection(config, algo, scenario_seed):
+    """Each client's state is built once, in the round that first selects
+    it, in selection order (a diverged round builds a prefix of its own)."""
+    selections, built = [], []
+    sample, state = proto.sample_clients, proto.ClientState
+
+    def sampling(*args, **kwargs):
+        selections.append(sample(*args, **kwargs))
+        return selections[-1]
+
+    def building(*args, **kwargs):
+        made = state(*args, **kwargs)
+        built.append((len(selections) - 1, made.id))
+        return made
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(proto, "sample_clients", sampling), \
+            mock.patch.object(proto, "ClientState", building):
+        try:
+            run = runner.run_one(dataclasses.replace(config, algo=algo, out_dir=tmp),
+                                 scenario_seed, 0)
+        except dat.PartitionError:
+            return
+    seen, expected = set(), []
+    for t, selected in enumerate(selections):
+        expected += [(t, k) for k in selected if k not in seen]
+        seen.update(selected)
+    assert built == (expected[:len(built)] if run.diverged else expected)
 
 
 # (field, out-of-range value, what the error says about it)

@@ -1,5 +1,5 @@
-"""What a run lays out once: the kept inference inputs and kernel, the
-round's rectification shifts, the client scratch models and
+"""What a run lays out once: the kept class indicators and inference
+kernel, the round's rectification shifts, the client scratch models and
 the epoch-plan layouts. Each fast path against the simple reference path it
 replaced, bit for bit, plus counts that pin the work to once per run."""
 import collections
@@ -45,7 +45,7 @@ class TestKeptInferenceInputs:
         for step in range(3):
             model.theta += 0.3 * np.random.default_rng(step).standard_normal(model.num_params)
             if step == 1:  # another row count on the same kernel in between
-                model.inference_kernel(1).forward(model, train.augmented[:7])
+                model.inference_kernel(1).forward(model, train.features[:7])
             got = alg.compute_local_prototypes(model, surrogate)
             means, counts = class_means(nn.forward(model, surrogate.features).embeddings,
                                         surrogate.labels, surrogate.num_classes)
@@ -53,9 +53,7 @@ class TestKeptInferenceInputs:
 
     def test_kept_inputs_equal_their_formulas(self):
         _, surrogate = blobs_and_surrogate()
-        model = nn.init_mlp(5, (6,), 4, np.random.default_rng(2))
-        assert surrogate.augmented is surrogate.augmented
-        assert np.array_equal(surrogate.augmented, nn.augment(model, surrogate.features))
+        assert surrogate.indicator is surrogate.indicator
         onehot, counts = surrogate.indicator
         assert np.array_equal(onehot, np.equal.outer(np.arange(4), surrogate.labels))
         assert np.array_equal(counts, np.bincount(surrogate.labels, minlength=4))
@@ -315,8 +313,8 @@ class TestClientScratch:
 
 
 def count_run_constants(config):
-    """nn.augment calls, nn.Kernel constructions and the datasets' kept
-    inputs and indicators, as each is computed, in one run_one."""
+    """nn.Kernel constructions and the datasets' kept indicators, as each
+    is computed, in one run_one."""
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -325,20 +323,17 @@ def count_run_constants(config):
             return fn(*args, **kwargs)
         return call
 
-    kept = [vars(dat.LabeledDataset)[name] for name in ("augmented", "indicator")]
-    with mock.patch.object(nn, "augment", counted("augment", nn.augment)), \
-            mock.patch.object(nn.Kernel, "__init__", counted("kernel", nn.Kernel.__init__)), \
-            mock.patch.object(kept[0], "func", counted("augmented", kept[0].func)), \
-            mock.patch.object(kept[1], "func", counted("indicator", kept[1].func)):
+    kept = vars(dat.LabeledDataset)["indicator"]
+    with mock.patch.object(nn.Kernel, "__init__", counted("kernel", nn.Kernel.__init__)), \
+            mock.patch.object(kept, "func", counted("indicator", kept.func)):
         runner.run_one(config, 0, 0, write_artifacts=False)
     return counts
 
 
 def test_inputs_and_kernels_made_once_per_run(tmp_path):
     """Counts, unlike times, do not drift with the machine: a fedgps run
-    with the monitor on every round makes as many augmented inputs, class
-    indicators and kernels in 6 rounds as in 2: one shared and one
-    inference kernel, and no `nn.augment` at all."""
+    with the monitor on every round makes as many class indicators and
+    kernels in 6 rounds as in 2: one shared and one inference kernel."""
     config = runner.ExperimentConfig(
         num_classes=4, input_dim=6, n_per_class=40, separation=2.0, noise_std=0.8,
         num_clients=5, sample_rate=0.6, alpha=0.5, hidden=(12, 6), surrogate_n_per_class=8,
@@ -347,5 +342,5 @@ def test_inputs_and_kernels_made_once_per_run(tmp_path):
     short = count_run_constants(dataclasses.replace(config, rounds=2))
     long = count_run_constants(dataclasses.replace(config, rounds=6))
     assert short == long
-    # test, surrogate and probe inputs; surrogate and probe indicators
-    assert long == {"kernel": 2, "augmented": 3, "indicator": 2}
+    # surrogate and probe indicators
+    assert long == {"kernel": 2, "indicator": 2}

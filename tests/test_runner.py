@@ -250,6 +250,28 @@ class TestRunArtifacts:
         result = runner.run_one(cfg, 0, 0)
         assert result.diverged
 
+    @pytest.mark.parametrize("algo", ["fedgps", "fedgps_cf"])
+    @pytest.mark.parametrize("eta_l", [1e5, 1e50, 1e300])
+    def test_diverging_monitored_run_writes_strict_json(self, tmp_path, algo, eta_l):
+        # the last record's monitor fields come from non-finite parameters
+        cfg = runner.ExperimentConfig(
+            num_classes=3, input_dim=3, n_per_class=20, num_clients=4, hidden=(8, 4),
+            divergence_cadence=1, rounds=5, eta_l=eta_l, algo=algo, out_dir=str(tmp_path))
+        result = runner.run_one(cfg, 0, 0)
+        lines = (Path(result.run_dir) / "rounds.jsonl").read_text().splitlines()
+        records = [strict_json(line) for line in lines]
+        assert result.diverged
+        last = records[-1]
+        assert last["divergence"] is None and last["triangle_holds"] is None
+        assert None in (last["triangle_lhs"], last["triangle_rhs"])
+
+
+def strict_json(line):
+    """`json.loads`, refusing the NaN and Infinity tokens that strict JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(line, parse_constant=refuse)
+
 
 class TestCli:
     def test_run_subcommand_smoke(self, tmp_path, capsys):
@@ -378,6 +400,16 @@ class TestCli:
         rounds = [int(line.split()[1]) for line in lines[2:]]
         assert rounds == [1, 3, 5, 7, 9]
         assert all("lhs=" in line and "rhs=" in line for line in lines[2:])
+
+    def test_diag_triangle_reads_null_sides_as_non_finite(self, capsys, monkeypatch):
+        # round 0 trains to non-finite parameters and is monitored
+        run_one = runner.run_one
+        monkeypatch.setattr(runner, "run_one", lambda config, *seeds: run_one(
+            dataclasses.replace(config, eta_l=1e50, divergence_cadence=1), *seeds))
+        assert cli.main(["diag", "triangle"]) == cli.EXIT_DIAG_FAIL
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "[FAIL] triangle"
+        assert lines[2:] == ["  round    0 [VIOL] lhs=nan rhs=nan kappa=nan"]
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_diag_non_finite_lambda_g_is_usage_error(self, value, capsys):
