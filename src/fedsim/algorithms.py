@@ -2,8 +2,11 @@
 FedAvg / FedAvgM / FedProx / SCAFFOLD baselines.
 
 Every local trainer consumes the broadcast global parameters plus
-read-only round inputs and returns the client's parameter delta. The
-synergy method adds two mechanisms on top of plain momentum SGD:
+read-only round inputs and returns the client's parameter delta;
+SCAFFOLD's also updates the client's control variate and returns its
+change. A non-finite loss raises `DivergedError`, which the trainers let
+through to the round loop. The synergy method adds two mechanisms on
+top of plain momentum SGD:
 
 * a composite objective that augments local cross-entropy with
   cross-entropy on a shared surrogate set and two prototype-alignment
@@ -56,15 +59,8 @@ from .protocol import ClientState, apply_global_delta, mean_delta
 
 
 class DivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
-
-    def __init__(self, message: str, round_index: int | None = None,
-                 client_id: int | None = None):
-        if round_index is not None or client_id is not None:
-            message = f"{message} (round={round_index}, client={client_id})"
-        super().__init__(message)
-        self.round_index = round_index
-        self.client_id = client_id
+    """Training produced a non-finite loss; the round loop, which knows the
+    round and the client, records them."""
 
 
 @dataclass
@@ -356,7 +352,7 @@ def _batch_cycler(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
-               dataset: LabeledDataset, hyper: FedGpsHyper, round_index: int,
+               dataset: LabeledDataset, hyper: FedGpsHyper,
                shift: np.ndarray | None = None, surrogate: LabeledDataset | None = None,
                global_prototypes: np.ndarray | None = None, anchor: np.ndarray | None = None,
                step_offset: np.ndarray | None = None) -> tuple[np.ndarray, MlpModel, int]:
@@ -371,9 +367,9 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
     FedProx's pull prox_mu * (theta - anchor) to it. Every step updates
     `model.theta` in place. `step_offset`, when given, is added to every
     step's displacement after momentum smoothing (control-variate style).
-    A `DivergedError` from a step is raised again naming the round and the
-    client, without overflow warnings on the way. The trainee is the
-    template's scratch model. Returns (delta, end model, steps).
+    A step's `DivergedError` propagates, without overflow warnings on the
+    way. The trainee is the template's scratch model. Returns (delta, end
+    model, steps).
     """
     model = template.scratch("trainee")
     at = None if shift is None else template.scratch("rectified point")
@@ -386,35 +382,32 @@ def _local_sgd(client: ClientState, template: MlpModel, theta_start: np.ndarray,
         cycler = _batch_cycler(len(surrogate), hyper.batch_size, client.surrogate_rng)
     pull = 0.0 if anchor is None else hyper.prox_mu
     kernel = template.shared_kernel(hyper.batch_size + m)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(hyper.local_epochs):
-                rows = client.shard[client.data_rng.permutation(n)]
-                surrogate_rows = None if not m else (
-                    surrogate.features, surrogate.labels,
-                    np.array(list(islice(cycler, steps))), global_prototypes)
-                plan = EpochPlan(template, dataset.features, dataset.labels, hyper.batch_size,
-                                 hyper.lambda3, rows, kernel, surrogate_rows, hyper)
-                for i in range(steps):
-                    grad = rectified_gradient(model, None, hyper.lambda_g,
-                                              lambda point: plan.loss_and_grad(point, i),
-                                              shift, at)
-                    if pull != 0.0:
-                        grad += pull * (model.theta - anchor)
-                    velocity *= hyper.momentum
-                    velocity += grad
-                    model.theta -= hyper.eta_l * (velocity if step_offset is None
-                                                  else velocity + step_offset)
-    except DivergedError as err:
-        raise DivergedError(str(err), round_index, client.id) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(hyper.local_epochs):
+            rows = client.shard[client.data_rng.permutation(n)]
+            surrogate_rows = None if not m else (
+                surrogate.features, surrogate.labels,
+                np.array(list(islice(cycler, steps))), global_prototypes)
+            plan = EpochPlan(template, dataset.features, dataset.labels, hyper.batch_size,
+                             hyper.lambda3, rows, kernel, surrogate_rows, hyper)
+            for i in range(steps):
+                grad = rectified_gradient(model, None, hyper.lambda_g,
+                                          lambda point: plan.loss_and_grad(point, i),
+                                          shift, at)
+                if pull != 0.0:
+                    grad += pull * (model.theta - anchor)
+                velocity *= hyper.momentum
+                velocity += grad
+                model.theta -= hyper.eta_l * (velocity if step_offset is None
+                                              else velocity + step_offset)
     return model.theta - theta_start, model, hyper.local_epochs * steps
 
 
 def fedgps_local_train(client: ClientState, template: MlpModel,
                        theta_global: np.ndarray, shift: np.ndarray | None,
                        dataset: LabeledDataset, surrogate: LabeledDataset,
-                       global_prototypes: np.ndarray | None, hyper: FedGpsHyper,
-                       round_index: int = 0) -> tuple[np.ndarray, PrototypeSet]:
+                       global_prototypes: np.ndarray | None,
+                       hyper: FedGpsHyper) -> tuple[np.ndarray, PrototypeSet]:
     """One client's round: rectified steps over the composite objective.
 
     `shift` is the round's rectification shift, `rectification_shift` of
@@ -424,8 +417,7 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     rectification off as well this trajectory is bit-identical to FedAvg's.
     Returns the delta and fresh local prototypes over the full surrogate set.
     """
-    delta, model_end, _ = _local_sgd(client, template, theta_global, dataset, hyper,
-                                     round_index, shift,
+    delta, model_end, _ = _local_sgd(client, template, theta_global, dataset, hyper, shift,
                                      surrogate if hyper.uses_surrogate else None,
                                      global_prototypes)
     return delta, compute_local_prototypes(model_end, surrogate)
@@ -433,47 +425,48 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
 
 def fedavg_local_train(client: ClientState, template: MlpModel,
                        theta_global: np.ndarray, dataset: LabeledDataset,
-                       hyper: FedGpsHyper, round_index: int = 0) -> np.ndarray:
+                       hyper: FedGpsHyper) -> np.ndarray:
     """Plain momentum SGD on local cross-entropy (plus L2)."""
-    return _local_sgd(client, template, theta_global, dataset, hyper, round_index)[0]
+    return _local_sgd(client, template, theta_global, dataset, hyper)[0]
 
 
 def fedprox_local_train(client: ClientState, template: MlpModel,
                         theta_global: np.ndarray, dataset: LabeledDataset,
-                        hyper: FedGpsHyper, round_index: int = 0) -> np.ndarray:
+                        hyper: FedGpsHyper) -> np.ndarray:
     """FedAvg plus the proximal pull mu*(theta - theta_global)."""
-    return _local_sgd(client, template, theta_global, dataset, hyper, round_index,
-                      anchor=theta_global)[0]
+    return _local_sgd(client, template, theta_global, dataset, hyper, anchor=theta_global)[0]
 
 
 def scaffold_local_train(client: ClientState, template: MlpModel,
                          theta_global: np.ndarray, dataset: LabeledDataset,
-                         hyper: FedGpsHyper, server_control: np.ndarray,
-                         client_control: np.ndarray,
-                         round_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                         hyper: FedGpsHyper,
+                         server_control: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Control-variate-corrected local steps with the option-II update.
 
     Each step applies the correction -c_k + c outside the momentum buffer
     (momentum smooths the stochastic gradient only; compounding a constant
     correction through momentum multiplies it by 1/(1-beta) and diverges).
-    Afterwards the client control becomes
-    c_k - c + (theta_global - theta_end) / (steps * eta_l).
+    Afterwards the client's control `client.control` becomes
+    c_k - c + (theta_global - theta_end) / (steps * eta_l). Returns the
+    delta and the control's change, which the client sends the server.
     """
     delta, model_end, steps = _local_sgd(client, template, theta_global, dataset, hyper,
-                                         round_index,
-                                         step_offset=server_control - client_control)
-    new_control = client_control - server_control + \
+                                         step_offset=server_control - client.control)
+    new_control = client.control - server_control + \
         (theta_global - model_end.theta) / (steps * hyper.eta_l)
-    return delta, new_control
+    change = new_control - client.control
+    client.control = new_control
+    return delta, change
 
 
-def fedavgm_server_update(server, deltas: dict[int, np.ndarray],
-                          velocity: np.ndarray, beta: float = 0.9) -> np.ndarray:
-    """Server momentum: v <- beta*v + mean(deltas); theta <- theta + eta_g*v.
+def fedavgm_server_update(server, deltas: dict[int, np.ndarray], beta: float = 0.9) -> np.ndarray:
+    """Server momentum: v <- beta*v + mean(deltas); theta <- theta + eta_g*v,
+    with v the server's `velocity`.
 
-    Returns the new velocity. `prev_global_delta` records the change
-    actually applied, which under momentum is no longer eta_g*mean(deltas).
+    Returns the new global parameters, as `protocol.aggregate` does.
+    `prev_global_delta` records the change actually applied, which under
+    momentum is no longer eta_g*mean(deltas).
     """
-    velocity = beta * velocity + mean_delta(deltas)
-    apply_global_delta(server, deltas, server.eta_g * velocity)
-    return velocity
+    server.velocity = beta * server.velocity + mean_delta(deltas)
+    apply_global_delta(server, deltas, server.eta_g * server.velocity)
+    return server.global_params

@@ -47,7 +47,7 @@ def _cmd_run(args) -> int:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_CONFIG
     for r in results:
-        flag = " DIVERGED" if r.diverged else ""
+        flag = " DIVERGED at round {}, client {}".format(*r.diverged_at) if r.diverged else ""
         print(f"{r.algo} scenario={r.scenario_seed} train={r.training_seed} "
               f"best_acc={r.best_acc:.4f} final_acc={r.final_acc:.4f}{flag} -> {r.run_dir}")
     if any(r.diverged for r in results):

@@ -1,11 +1,14 @@
 """Server-side round machinery: one `Algorithm` record per algorithm in
 `ALGORITHMS` (what it sends each way, whether its steps are rectified),
-client sampling, delta aggregation, both non-self gradients, prototype
-aggregation, and communication accounting from the records.
+the server's and clients' state, client sampling, delta aggregation, both
+non-self gradients, prototype aggregation, and communication accounting
+from the records.
 
-The canonical aggregation order is ascending client id, single-threaded;
-that ordered reduction is the bit-exactness contract even though client
-training itself may run in any order.
+The canonical aggregation order is ascending client id, single-threaded:
+`ordered_sum` is that reduction, and every per-client sum of a round
+(deltas, prototypes, SCAFFOLD's control changes) goes through it. It is
+the bit-exactness contract even though client training itself may run in
+any order.
 """
 from __future__ import annotations
 
@@ -46,7 +49,9 @@ class ServerState:
     `prev_deltas` keeps the last round's per-client deltas, keyed by its
     participants, which is what the non-self gradient is built from;
     `prev_global_delta` is the change actually applied to the global
-    parameters in the last aggregation.
+    parameters in the last aggregation. `velocity` is FedAvgM's server
+    momentum and `control` SCAFFOLD's server control variate c; each is
+    None under every other algorithm.
     """
 
     global_params: np.ndarray
@@ -55,6 +60,8 @@ class ServerState:
     prev_deltas: dict[int, np.ndarray] = field(default_factory=dict)
     prev_global_delta: np.ndarray | None = None
     global_prototypes: np.ndarray | None = None
+    velocity: np.ndarray | None = None
+    control: np.ndarray | None = None
 
     @property
     def prev_selected(self) -> tuple[int, ...]:
@@ -64,7 +71,8 @@ class ServerState:
 
 @dataclass
 class ClientState:
-    """Per-client persistent state across rounds; `control` is SCAFFOLD's c_k."""
+    """Per-client persistent state across rounds; `control` is SCAFFOLD's
+    c_k, which the client's own trainer updates."""
 
     id: int
     shard: np.ndarray
@@ -117,15 +125,21 @@ def aggregate(server: ServerState, deltas: dict[int, np.ndarray]) -> np.ndarray:
     return server.global_params
 
 
+def ordered_sum(values: dict[int, np.ndarray]) -> np.ndarray:
+    """Sum of the per-client arrays in ascending client-id order, whatever
+    order the map was filled in: the protocol's one reduction."""
+    order = sorted(values)
+    total = np.zeros(np.shape(values[order[0]]))
+    for k in order:
+        total += values[k]
+    return total
+
+
 def mean_delta(deltas: dict[int, np.ndarray]) -> np.ndarray:
     """Mean of the deltas, summed in ascending client-id order."""
     if not deltas:
         raise ProtocolError("cannot aggregate an empty delta map")
-    order = sorted(deltas)
-    total = np.zeros_like(deltas[order[0]])
-    for k in order:
-        total += deltas[k]
-    return total / len(order)
+    return ordered_sum(deltas) / len(deltas)
 
 
 def apply_global_delta(server: ServerState, deltas: dict[int, np.ndarray],
@@ -196,9 +210,7 @@ def aggregate_prototypes(server: ServerState, uploads: dict[int, np.ndarray],
         if uploads[k].shape != shape:
             raise ProtocolError(f"prototype upload from client {k} has shape "
                                 f"{uploads[k].shape}, expected {shape}")
-    total = np.zeros(shape)
-    for k in order:
-        total += uploads[k]
+    total = ordered_sum(uploads)
     if mode == "mean":
         total /= len(order)
     elif mode != "sum":

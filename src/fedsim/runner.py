@@ -15,8 +15,12 @@ run's largest inference forward; every forward hands that kernel plain
 features, and the kernel adds the ones column.
 The round loop computes each distinct rectification shift once
 (`_round_shift`) and hands the FedGPS trainer the shift itself. A round
-leaves its state in the `ServerState`, the `ClientState`s (SCAFFOLD's c_k
-included) and its record, which the accuracy series is read from.
+leaves its state in the `ServerState` (FedAvgM's `velocity` and
+SCAFFOLD's `control`, each made only for its algorithm), the
+`ClientState`s (SCAFFOLD's c_k, which its trainer updates) and its
+record, which the accuracy series is read from. A trainer's
+`DivergedError` ends the loop, and the run records the round and the
+client it was training as `RunResult.diverged_at`.
 The algorithm's `protocol.ALGORITHMS` record sets the participant floor,
 the kernel's size and the rectified trainer; trainers and server rules are
 looked up on their modules at call time.
@@ -233,7 +237,11 @@ class RunResult:
     training_seed: int
     accuracy_series: list
     run_dir: str
-    diverged: bool = False
+    diverged_at: tuple[int, int] | None = None  # (round, client) whose training raised
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     @property
     def best_acc(self) -> float:
@@ -324,7 +332,8 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
             write_artifacts: bool = True) -> RunResult:
     """One (scenario seed, training seed) unit: T rounds of config.algo.
     Non-finite values raise no numpy warnings: a training loss that goes
-    non-finite ends the run, which is then reported as diverged."""
+    non-finite ends the run, which records the round and the client whose
+    trainer raised as `diverged_at`."""
     split_seed = int(stream(config.data_seed, "split").integers(2 ** 31))
     train, test = dat.stratified_split(build_dataset(config), config.test_fraction, split_seed)
     partition = build_partition(config, train.labels, scenario_seed)
@@ -344,9 +353,12 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     if rule.rectified:
         inference_rows += [len(surrogate), *map(len, partition.shards)]
     template.inference_kernel(max(inference_rows))
+    theta = nn.flatten(template)
     server = proto.ServerState(
-        global_params=nn.flatten(template), eta_g=config.eta_g,
-        global_prototypes=np.zeros((train.num_classes, template.embed_dim)))
+        global_params=theta, eta_g=config.eta_g,
+        global_prototypes=np.zeros((train.num_classes, template.embed_dim)),
+        velocity=np.zeros_like(theta) if config.algo == "fedavgm" else None,
+        control=np.zeros_like(theta) if config.algo == "scaffold" else None)
     # Per-client state starts at a client's first selection, so memory
     # follows the clients sampled so far, not all K: its streams are keyed
     # by client id and so begin the same whenever they are made.
@@ -354,13 +366,10 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     selection_rng = stream(training_seed, "selection")
     hyper = config.hyper()
     probe = test.subset(np.arange(min(256, len(test))))
-
-    velocity = np.zeros_like(server.global_params)  # fedavgm server momentum
-    server_control = np.zeros_like(server.global_params)  # scaffold
     meter = proto.CommMeter()
 
     records = []
-    diverged = False
+    diverged_at = None
     run_dir = Path(_output_root(config)) / f"{config.algo}_s{scenario_seed}_t{training_seed}"
 
     for t in range(config.rounds):
@@ -369,7 +378,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                                         selection_rng, min_size=2 if rule.rectified else 1)
         deltas: dict[int, np.ndarray] = {}
         uploads: dict[int, np.ndarray] = {}
-        control_updates = {}
+        control_changes: dict[int, np.ndarray] = {}
         shared_shift = {}  # the round's shift of the clients absent last round
         try:
             for k in selected:
@@ -378,41 +387,35 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                         id=k, shard=partition.shards[k],
                         data_rng=stream(training_seed, "client-data", k),
                         surrogate_rng=stream(training_seed, "client-surrogate", k),
-                        control=np.zeros_like(server_control) if config.algo == "scaffold"
-                        else None)
+                        control=None if server.control is None
+                        else np.zeros_like(server.control))
                 client = clients[k]
                 if rule.rectified:
                     shift = _round_shift(config, server, client, shared_shift)
                     deltas[k], protos = alg.fedgps_local_train(
                         client, template, server.global_params, shift, train, surrogate,
-                        server.global_prototypes, hyper, round_index=t)
+                        server.global_prototypes, hyper)
                     uploads[k] = proto.upload_prototypes(server, k, protos.means)
                 elif config.algo == "fedprox":
                     deltas[k] = alg.fedprox_local_train(client, template, server.global_params,
-                                                        train, hyper, round_index=t)
+                                                        train, hyper)
                 elif config.algo == "scaffold":
-                    deltas[k], control_updates[k] = alg.scaffold_local_train(
-                        client, template, server.global_params, train, hyper,
-                        server_control, client.control, round_index=t)
+                    deltas[k], control_changes[k] = alg.scaffold_local_train(
+                        client, template, server.global_params, train, hyper, server.control)
                 else:  # fedavg, fedavgm
                     deltas[k] = alg.fedavg_local_train(client, template, server.global_params,
-                                                       train, hyper, round_index=t)
+                                                       train, hyper)
         except alg.DivergedError:
-            diverged = True
+            diverged_at = (t, k)
             break
 
         theta_start = server.global_params  # aggregation binds a new vector, keeping this
         if config.algo == "fedavgm":
-            velocity = alg.fedavgm_server_update(server, deltas, velocity,
-                                                 beta=config.fedavgm_beta)
+            alg.fedavgm_server_update(server, deltas, beta=config.fedavgm_beta)
         else:
             proto.aggregate(server, deltas)
-        if config.algo == "scaffold":
-            shift = np.zeros_like(server_control)
-            for k, new_control in control_updates.items():
-                shift += new_control - clients[k].control
-                clients[k].control = new_control
-            server_control = server_control + shift / config.num_clients
+        if control_changes:  # scaffold: c <- c + (sum of the clients' changes) / K
+            server.control += proto.ordered_sum(control_changes) / config.num_clients
         if uploads:
             proto.aggregate_prototypes(server, uploads, mode=config.prototype_agg)
 
@@ -436,7 +439,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     result = RunResult(
         algo=config.algo, scenario_seed=scenario_seed, training_seed=training_seed,
         accuracy_series=[rec["test_acc"] for rec in records], run_dir=str(run_dir),
-        diverged=diverged)
+        diverged_at=diverged_at)
 
     if write_artifacts:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -455,7 +458,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         sidecar = {"round": server.round, "eta_g": server.eta_g,
                    "prev_selected": list(server.prev_selected),
                    "algo": config.algo, "best_acc": result.best_acc,
-                   "final_acc": result.final_acc, "diverged": diverged,
+                   "final_acc": result.final_acc, "diverged": result.diverged,
                    "total_down": meter.total_down, "total_up": meter.total_up}
         with open(run_dir / "checkpoint.meta.json", "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)

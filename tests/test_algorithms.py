@@ -21,11 +21,11 @@ def tiny_model(seed=0, input_dim=4, hidden=(6, 5), classes=2):
     return nn.init_mlp(input_dim, hidden, classes, np.random.default_rng(seed))
 
 
-def make_client(shard, seed=0, cid=0):
+def make_client(shard, seed=0, cid=0, control=None):
     return proto.ClientState(
         id=cid, shard=np.asarray(shard),
         data_rng=np.random.default_rng(seed),
-        surrogate_rng=np.random.default_rng(seed + 1000))
+        surrogate_rng=np.random.default_rng(seed + 1000), control=control)
 
 
 def toy_batches(seed=0, classes=2):
@@ -472,8 +472,11 @@ class TestInPlaceDriver:
         assert np.array_equal(delta, ref)
         rng = np.random.default_rng(76)
         c_server, c_client = 1e-2 * rng.standard_normal((2, theta.size))
-        delta, control = alg.scaffold_local_train(self.client(), self.model, theta, self.ds,
-                                                  hyper, c_server, c_client)
+        client = self.client()
+        client.control = c_client
+        delta, change = alg.scaffold_local_train(client, self.model, theta, self.ds, hyper,
+                                                 c_server)
+        control = client.control
         ref, ref_end = reference_local_train(self.client(), self.model, theta, self.ds, hyper,
                                              self.ce_grad, step_offset=c_server - c_client)
         assert np.array_equal(delta, ref)
@@ -481,6 +484,7 @@ class TestInPlaceDriver:
                                                               len(self.shard)))
         assert np.array_equal(control, c_client - c_server
                               + (theta - ref_end) / (steps * hyper.eta_l))
+        assert np.array_equal(change, control - c_client)
 
     @pytest.mark.parametrize("with_nsg", [True, False])
     def test_fedgps(self, with_nsg):
@@ -591,11 +595,11 @@ class TestEpochPlan:
             steps.append((model.theta.copy(), loss, grad.copy()))
             return steps[-1][2]  # `_local_sgd` adds FedProx's pull into it
 
-        client = make_client(shard, seed=85)
+        client = make_client(shard, seed=85, control=np.zeros_like(offset))
         with mock.patch.object(alg, "rectified_gradient", spy):
             if algo == "scaffold":
                 delta, _ = alg.scaffold_local_train(client, self.model, theta0, self.ds, hyper,
-                                                    offset, np.zeros_like(offset))
+                                                    offset)
             else:
                 delta = getattr(alg, f"{algo}_local_train")(client, self.model, theta0,
                                                              self.ds, hyper)
@@ -793,28 +797,36 @@ def run_local(algo_fn, seed=0, **kw):
 
 @pytest.mark.parametrize("trainer", ["fedavg", "fedprox", "scaffold", "fedgps"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_divergence_names_round_and_client(trainer):
-    ds = dat.gen_blobs(3, 4, 30, 2.0, 0.5, seed=21)
-    surrogate = dat.gen_surrogate(dat.make_surrogate_spec(3, 4, seed=23, n_per_class=4))
-    model = tiny_model(seed=20, classes=3)
-    theta = nn.flatten(model)
-    client = make_client(np.arange(45), cid=3)
-    hyper = alg.FedGpsHyper(eta_l=1e154, batch_size=8)
-    zeros = np.zeros_like(theta)
-    calls = {
-        "fedavg": lambda: alg.fedavg_local_train(client, model, theta, ds, hyper,
-                                                 round_index=7),
-        "fedprox": lambda: alg.fedprox_local_train(client, model, theta, ds, hyper,
-                                                   round_index=7),
-        "scaffold": lambda: alg.scaffold_local_train(client, model, theta, ds, hyper,
-                                                     zeros, zeros, round_index=7),
-        "fedgps": lambda: alg.fedgps_local_train(client, model, theta, None, ds, surrogate,
-                                                 np.zeros((3, model.embed_dim)), hyper,
-                                                 round_index=7),
-    }
-    with pytest.raises(alg.DivergedError) as err:
-        calls[trainer]()
-    assert (err.value.round_index, err.value.client_id) == (7, 3)
+def test_divergence_names_round_and_client(tmp_path, trainer):
+    """`run_one` records the round and the client whose trainer raised,
+    found apart from it by wrapping the trainer and counting the rounds.
+    On this config the baselines diverge in round 1 and fedgps at the
+    second client of round 0."""
+    name = f"{trainer}_local_train"
+    sample, train = proto.sample_clients, getattr(alg, name)
+    rounds, raised = [], []
+
+    def sampling(*args, **kwargs):
+        rounds.append(sample(*args, **kwargs))
+        return rounds[-1]
+
+    def training(client, *args, **kwargs):
+        try:
+            return train(client, *args, **kwargs)
+        except alg.DivergedError:
+            raised.append((len(rounds) - 1, client.id))
+            raise
+
+    cfg = runner.ExperimentConfig(
+        algo=trainer, num_classes=3, input_dim=4, n_per_class=20, hidden=(8, 4), rounds=3,
+        num_clients=4, sample_rate=0.5, alpha=0.5, batch_size=16, eta_l=1e154,
+        surrogate_n_per_class=8, out_dir=str(tmp_path))
+    with mock.patch.object(proto, "sample_clients", sampling), \
+            mock.patch.object(alg, name, training):
+        result = runner.run_one(cfg, 0, 0)
+    assert len(raised) == 1
+    assert result.diverged and result.diverged_at == raised[0]
+    assert len(result.accuracy_series) == raised[0][0]
 
 
 class TestBaselines:
@@ -877,8 +889,8 @@ class TestBaselines:
         model = tiny_model(seed=26, classes=3)
         theta = nn.flatten(model)
         zeros = np.zeros_like(theta)
-        d_scaf, _ = alg.scaffold_local_train(make_client(np.arange(30), seed=1), model,
-                                             theta, ds, hyper, zeros, zeros)
+        d_scaf, _ = alg.scaffold_local_train(make_client(np.arange(30), seed=1, control=zeros),
+                                             model, theta, ds, hyper, zeros)
         d_avg = alg.fedavg_local_train(make_client(np.arange(30), seed=1), model,
                                        theta, ds, hyper)
         assert np.array_equal(d_scaf, d_avg)
@@ -890,26 +902,26 @@ class TestBaselines:
         theta = nn.flatten(model)
         c_server = np.random.default_rng(29).standard_normal(theta.size) * 1e-3
         c_client = np.random.default_rng(30).standard_normal(theta.size) * 1e-3
-        delta, c_new = alg.scaffold_local_train(make_client(np.arange(48), seed=2),
-                                                model, theta, ds, hyper,
-                                                c_server, c_client)
+        client = make_client(np.arange(48), seed=2, control=c_client)
+        delta, _ = alg.scaffold_local_train(client, model, theta, ds, hyper, c_server)
+        c_new = client.control
         steps = 2 * int(np.ceil(48 / 16))
         expected = c_client - c_server + (-delta) / (steps * hyper.eta_l)
         assert np.allclose(c_new, expected, atol=1e-12)
 
     def test_fedavgm_zero_beta_is_plain_aggregation(self):
         deltas = {0: np.ones(4), 1: np.full(4, 3.0)}
-        a = proto.ServerState(global_params=np.zeros(4), eta_g=1.0)
-        alg.fedavgm_server_update(a, deltas, np.zeros(4), beta=0.0)
+        a = proto.ServerState(global_params=np.zeros(4), eta_g=1.0, velocity=np.zeros(4))
+        alg.fedavgm_server_update(a, deltas, beta=0.0)
         b = proto.ServerState(global_params=np.zeros(4), eta_g=1.0)
         proto.aggregate(b, deltas)
         assert np.array_equal(a.global_params, b.global_params)
 
     def test_fedavgm_velocity_accumulates(self):
-        server = proto.ServerState(global_params=np.zeros(2), eta_g=1.0)
-        v = np.zeros(2)
-        v = alg.fedavgm_server_update(server, {0: np.ones(2)}, v, beta=0.9)
-        v = alg.fedavgm_server_update(server, {0: np.ones(2)}, v, beta=0.9)
+        server = proto.ServerState(global_params=np.zeros(2), eta_g=1.0, velocity=np.zeros(2))
+        alg.fedavgm_server_update(server, {0: np.ones(2)}, beta=0.9)
+        alg.fedavgm_server_update(server, {0: np.ones(2)}, beta=0.9)
+        v = server.velocity
         assert np.allclose(v, [1.9, 1.9])
         assert np.allclose(server.global_params, [2.9, 2.9])
 
@@ -923,8 +935,7 @@ class TestFedGpsLocalTrain:
         hyper = alg.FedGpsHyper(batch_size=8)
         delta, protos = alg.fedgps_local_train(client, model, nn.flatten(model),
                                                None, ds, surrogate,
-                                               np.zeros((2, model.embed_dim)),
-                                               hyper, round_index=4)
+                                               np.zeros((2, model.embed_dim)), hyper)
         assert delta.shape == (model.num_params,)
         assert protos.means.shape == (2, model.embed_dim)
 

@@ -93,6 +93,20 @@ class TestAggregate:
         assert np.max(np.abs(alt - a.global_params)) < 1e-12
 
 
+def test_ordered_sum_adds_in_ascending_client_id():
+    """The protocol's one reduction adds in ascending client id, whatever
+    the insertion order; deltas and prototypes are summed through it."""
+    values = {1: [1e16], 2: [-1e16], 0: [1.0]}
+    assert proto.ordered_sum(values).tolist() == [0.0]
+    total = np.zeros(1)
+    for v in values.values():  # insertion order: 1 + 1e16 rounds to 1e16
+        total += v
+    assert total.tolist() == [1.0]
+    arrays = {k: np.array(v) for k, v in values.items()}
+    assert proto.mean_delta(arrays).tolist() == [0.0]
+    assert proto.aggregate_prototypes(make_server(1), arrays, mode="sum").tolist() == [0.0]
+
+
 class TestNonSelfGradient:
     def setup_method(self):
         self.server = make_server(4)

@@ -8,11 +8,13 @@ import sys
 import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from fedsim import cli, nn, runner
+from fedsim import protocol as proto
 
 
 def write_csv(tmp_path):
@@ -503,7 +505,7 @@ class TestCli:
     @pytest.mark.parametrize("eta_l", ["1e154", "1e200"])
     # one local step a round, diverging in round 1, or two, diverging in round 0
     @pytest.mark.parametrize("n_per_class", ["20", "40"])
-    def test_run_diverged_exit_code(self, tmp_path, eta_l, n_per_class):
+    def test_run_diverged_exit_code(self, tmp_path, capsys, eta_l, n_per_class):
         code = cli.main(["run", "--rounds", "2", "--num-clients", "2",
                          "--sample-rate", "1.0", "--num-classes", "3",
                          "--input-dim", "4", "--n-per-class", n_per_class,
@@ -512,6 +514,8 @@ class TestCli:
                          "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_DIVERGED
         assert (tmp_path / "o" / "summary.csv").exists()
+        round_index = {"20": 1, "40": 0}[n_per_class]
+        assert f" DIVERGED at round {round_index}, client 0 -> " in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("algo", ["fedgps", "fedgps_cf"])
@@ -638,6 +642,24 @@ def test_peak_memory_does_not_grow_with_idle_clients(tmp_path, algo):
     growth = (peak(200) - peak(20)) / 180
     vector_bytes = 8 * nn.init_mlp(16, (64, 32), 4, np.random.default_rng(0)).num_params
     assert growth < vector_bytes / 4
+
+
+@pytest.mark.parametrize("algo", runner.ALGORITHMS)
+def test_server_state_holds_only_its_algorithms_state(tmp_path, algo):
+    """FedAvgM's server momentum and SCAFFOLD's server control live on the
+    run's one `ServerState`, each made only for its own algorithm."""
+    made, state = [], proto.ServerState
+
+    def building(*args, **kwargs):
+        made.append(state(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(proto, "ServerState", building):
+        runner.run_one(small_config(tmp_path, algo=algo), 0, 0, write_artifacts=False)
+    (server,) = made
+    assert (server.velocity is not None) == (algo == "fedavgm")
+    assert (server.control is not None) == (algo == "scaffold")
+    assert all(np.any(v) for v in (server.velocity, server.control) if v is not None)
 
 
 def test_pre_split_dataset_is_freed_before_training(tmp_path, monkeypatch):
