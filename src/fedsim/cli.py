@@ -28,6 +28,14 @@ EXIT_DIAG_FAIL = 4
 
 _OVERRIDE_KEYS = [f.name for f in dataclasses.fields(runner.ExperimentConfig)]
 
+# `fedsim diag`'s suites, each run on the parsed arguments and the comm-audit cases;
+# the parser offers exactly these names
+DIAG_SUITES = {
+    "grad-check": lambda args, cases: dg.grad_check_report(),
+    "quadratic-oracle": lambda args, cases: dg.quadratic_oracle_report(lambda_g=args.lambda_g),
+    "comm-audit": lambda args, cases: dg.comm_audit_report(cases=cases),
+}
+
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     for key in _OVERRIDE_KEYS:
@@ -64,13 +72,7 @@ def _cmd_diag(args) -> int:
         args.error("--C and --embed-dim need --M: they size its comm-audit case")
     if not math.isfinite(args.lambda_g):
         args.error(f"argument --lambda-g: must be a finite number, got {args.lambda_g}")
-    suites = {
-        "grad-check": lambda: dg.grad_check_report(),
-        "quadratic-oracle": lambda: dg.quadratic_oracle_report(lambda_g=args.lambda_g),
-        "triangle": lambda: dg.triangle_report(),
-        "comm-audit": lambda: dg.comm_audit_report(cases=cases),
-    }
-    report = suites[args.suite]()
+    report = DIAG_SUITES[args.suite](args, cases)
     print(dg.format_report(args.suite, report))
     return EXIT_OK if report["passed"] else EXIT_DIAG_FAIL
 
@@ -126,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=_cmd_run)
 
     p_diag = sub.add_parser("diag", help="run a diagnostic property suite")
-    p_diag.add_argument("suite", choices=["grad-check", "quadratic-oracle",
-                                          "triangle", "comm-audit"])
+    p_diag.add_argument("suite", choices=list(DIAG_SUITES))
     p_diag.add_argument("--lambda-g", dest="lambda_g", type=float, default=0.5)
     p_diag.add_argument("--M", type=_positive_int, default=None, help="model size for comm-audit")
     p_diag.add_argument("--C", type=_positive_int, default=None,

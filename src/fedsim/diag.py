@@ -1,24 +1,17 @@
 """Self-contained diagnostic suites exposed by the `diag` subcommand:
 gradient checking over the composite objective, the closed-form quadratic
-rectification oracle, the empirical transport-bound monitor, and the
-communication audit.
+rectification oracle, and the communication audit.
 
 Each suite returns a report dict with a boolean ``passed`` plus the
 measured quantities, so callers can print or assert on them.
 """
 from __future__ import annotations
 
-import json
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from . import algorithms as alg
-from . import data as dat
 from . import nn
 from . import protocol as proto
-from . import runner
 
 
 def _toy_setup(seed: int = 0):
@@ -106,36 +99,6 @@ def quadratic_oracle_report(dim: int = 5, num_functions: int = 4,
             "contraction_norm": contraction, "rows": rows}
 
 
-TRIANGLE_SIDES = ("triangle_lhs", "triangle_rhs", "triangle_kappa")
-
-
-def triangle_report(rounds: int = 10, seed: int = 0) -> dict:
-    """Run a small federation and report the transport-bound monitor at
-    every divergence-logging round. Bound violations are reported, not
-    failures: the bound is an upper bound under assumptions and serves as
-    a sanity monitor; the suite fails only if nothing could be measured
-    or a non-finite value appeared."""
-    with tempfile.TemporaryDirectory() as tmp:
-        config = runner.ExperimentConfig(
-            num_classes=4, input_dim=6, n_per_class=60, rounds=rounds,
-            num_clients=4, sample_rate=0.5, alpha=0.5,
-            scenario_seeds=(seed,), training_seeds=(seed,),
-            algo="fedgps", hidden=(16, 8), surrogate_n_per_class=32,
-            divergence_cadence=2, out_dir=tmp)
-        result = runner.run_one(config, seed, seed)
-        records = []
-        with open(Path(result.run_dir) / "rounds.jsonl") as fh:
-            for line in fh:
-                records.append(json.loads(line))
-    # rounds.jsonl writes a non-finite side as null: read it back as NaN
-    checks = [{"round": r["round"], **{k: np.nan if r[k] is None else r[k] for k in TRIANGLE_SIDES},
-               "triangle_holds": r["triangle_holds"]} for r in records if "triangle_lhs" in r]
-    finite = all(np.isfinite([c["triangle_lhs"], c["triangle_rhs"]]).all() for c in checks)
-    violations = [c["round"] for c in checks if not c["triangle_holds"]]
-    return {"passed": bool(checks) and finite and not result.diverged,
-            "num_checks": len(checks), "violations": violations, "checks": checks}
-
-
 COMM_CASES = [(1000, 10, 512), (3498, 10, 32), (25000, 100, 512)]
 
 
@@ -176,14 +139,6 @@ def format_report(name: str, report: dict) -> str:
         for row in report["rows"]:
             lines.append(f"  client {row['client']}: identity err {row['identity_err']:.3e}, "
                          f"deviation {row['d0']:.4f} -> {row['d_new']:.4f}")
-    elif name == "triangle":
-        lines.append(f"  {report['num_checks']} checks, "
-                     f"{len(report['violations'])} bound violations "
-                     f"(violations are monitored, not fatal)")
-        for c in report["checks"]:
-            mark = "ok " if c["triangle_holds"] else "VIOL"
-            lines.append(f"  round {c['round']:>4} [{mark}] lhs={c['triangle_lhs']:.4f} "
-                         f"rhs={c['triangle_rhs']:.4f} kappa={c['triangle_kappa']:.4f}")
     elif name == "comm-audit":
         for row in report["rows"]:
             mark = "ok " if row["match"] else "FAIL"

@@ -36,15 +36,6 @@ def prototype_divergence(local, global_) -> float:
     return float(np.mean(np.linalg.norm(a - b, axis=1)))
 
 
-def class_mean_distance(means_a: np.ndarray, counts_a, means_b: np.ndarray,
-                        counts_b) -> float:
-    """Prototype distance restricted to classes present on both sides."""
-    shared = np.flatnonzero((np.asarray(counts_a) > 0) & (np.asarray(counts_b) > 0))
-    if len(shared) == 0:
-        raise ValueError("no class present on both sides")
-    return float(np.mean(np.linalg.norm(means_a[shared] - means_b[shared], axis=1)))
-
-
 @dataclass
 class RankMatrix:
     """Accuracies for N scenarios x k algorithms, with tie-averaged ranks."""

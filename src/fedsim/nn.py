@@ -19,9 +19,9 @@ return fresh arrays.
 
 A run's template model keeps what the run reuses, each made once per run
 at first use: the `shared_kernel` its trainers step on, the forward-only
-`inference_kernel` for prototypes, test accuracy and the monitor, and
-`scratch` models (the trainee, the rectified point), which share the
-template's kernels. Each use overwrites the last.
+`inference_kernel` for prototypes and test accuracy, and `scratch` models
+(the trainee, the rectified point), which share the template's kernels.
+Each use overwrites the last.
 """
 from __future__ import annotations
 

@@ -9,10 +9,10 @@ component (say, the algorithm) never perturbs another's stream.
 
 A run lays out its constants once. `run_one` splits the dataset where it
 builds it, so only the train and test sets reach the rounds. The
-surrogate and probe sets keep their class indicators from first use, and
-`run_one` makes the template's one inference kernel at the size of the
-run's largest inference forward; every forward hands that kernel plain
-features, and the kernel adds the ones column.
+surrogate keeps its class indicator from first use, and `run_one` makes
+the template's one inference kernel at the size of the run's largest
+inference forward, the test set or the surrogate; every forward hands
+that kernel plain features, and the kernel adds the ones column.
 The round loop computes each distinct rectification shift once
 (`_round_shift`) and hands the FedGPS trainer the shift itself. A round
 leaves its state in the `ServerState` (FedAvgM's `velocity` and
@@ -20,7 +20,8 @@ SCAFFOLD's `control`, each made only for its algorithm), the
 `ClientState`s (SCAFFOLD's c_k, which its trainer updates) and its
 record, which the accuracy series is read from. A trainer's
 `DivergedError` ends the loop, and the run records the round and the
-client it was training as `RunResult.diverged_at`.
+client it was training as `RunResult.diverged_at`, which the run's
+`checkpoint.meta.json` keeps and `scan_results` reads back.
 The algorithm's `protocol.ALGORITHMS` record sets the participant floor,
 the kernel's size and the rectified trainer; trainers and server rules are
 looked up on their modules at call time.
@@ -262,46 +263,6 @@ class RunResult:
         return out + [last] * (length - len(out))
 
 
-def _triangle_fields(template, server, selected, theta_start, deltas, uploads, divergences,
-                     train, partition, probe: dat.LabeledDataset) -> dict:
-    """Empirical transport-bound monitor: checks whether the global
-    features' distance to the global prototypes is covered by the two
-    alignment stages plus the measured extractor discrepancy. Client k
-    ended the round at `theta_start + deltas[k]`; `uploads` holds the
-    clients' prototype matrices, over the full surrogate set: no class absent.
-    Stage 2's term is the largest of `divergences`, each client's
-    `prototype_divergence` from the global prototypes.
-    Every embedding runs on the template's inference kernel, over the
-    probe's features with its kept class indicator, or a shard's rows."""
-    kernel = template.inference_kernel(max(len(probe), *map(len, partition.shards)))
-
-    def embed(model, x):
-        return kernel.forward(model, x, classify=False).embeddings
-
-    global_model = nn.unflatten_like(template, server.global_params)
-    g_means, g_counts = alg._means_by_class(embed(global_model, probe.features),
-                                            *probe.indicator)
-    proto_counts = np.ones(probe.num_classes, dtype=np.int64)
-    lhs = ev.class_mean_distance(g_means, g_counts, server.global_prototypes, proto_counts)
-
-    eps1, kappas = [], []
-    local_model = template.scratch("monitor")
-    for k in selected:
-        np.add(theta_start, deltas[k], out=local_model.theta)
-        shard = partition.shards[k]
-        l_means, l_counts = alg._means_by_class(
-            embed(local_model, train.features[shard]),
-            *dat.class_indicator(train.labels[shard], train.num_classes))
-        eps1.append(ev.class_mean_distance(l_means, l_counts, uploads[k], proto_counts))
-        k_means, k_counts = alg._means_by_class(embed(local_model, probe.features),
-                                                *probe.indicator)
-        kappas.append(ev.class_mean_distance(k_means, k_counts, g_means, g_counts))
-    rhs = max(eps1) + max(divergences) + max(kappas)
-    holds = bool(lhs <= rhs) if math.isfinite(lhs) and math.isfinite(rhs) else None
-    return {"triangle_lhs": lhs, "triangle_rhs": rhs,
-            "triangle_kappa": max(kappas), "triangle_holds": holds}
-
-
 def _round_shift(config: ExperimentConfig, server: proto.ServerState,
                  client: proto.ClientState, shared: dict) -> np.ndarray | None:
     """The shift `client` steps at this round, `rectification_shift` of
@@ -347,12 +308,9 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     rule = proto.ALGORITHMS[config.algo]
     template = nn.init_mlp(train.input_dim, tuple(config.hidden), train.num_classes,
                            stream(training_seed, "init"))
-    # one inference kernel, made here at its final size, serves every test,
-    # prototype and monitor forward of the run
-    inference_rows = [len(test)]
-    if rule.rectified:
-        inference_rows += [len(surrogate), *map(len, partition.shards)]
-    template.inference_kernel(max(inference_rows))
+    # one inference kernel, made here at its final size, serves every test
+    # and prototype forward of the run
+    template.inference_kernel(max(len(test), len(surrogate)) if rule.rectified else len(test))
     theta = nn.flatten(template)
     server = proto.ServerState(
         global_params=theta, eta_g=config.eta_g,
@@ -365,7 +323,6 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
     clients: dict[int, proto.ClientState] = {}
     selection_rng = stream(training_seed, "selection")
     hyper = config.hyper()
-    probe = test.subset(np.arange(min(256, len(test))))
     meter = proto.CommMeter()
 
     records = []
@@ -409,7 +366,6 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
             diverged_at = (t, k)
             break
 
-        theta_start = server.global_params  # aggregation binds a new vector, keeping this
         if config.algo == "fedavgm":
             alg.fedavgm_server_update(server, deltas, beta=config.fedavgm_beta)
         else:
@@ -428,11 +384,8 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         record = {"round": t, "selected": selected, "test_acc": test_acc,
                   "comm_down": down, "comm_up": up, "divergence": None}
         if uploads and (t + 1) % config.divergence_cadence == 0:
-            divergences = [ev.prototype_divergence(uploads[k], server.global_prototypes)
-                           for k in selected]
-            record["divergence"] = float(np.mean(divergences))
-            record.update(_triangle_fields(template, server, selected, theta_start, deltas,
-                                           uploads, divergences, train, partition, probe))
+            record["divergence"] = float(np.mean(
+                [ev.prototype_divergence(uploads[k], server.global_prototypes) for k in selected]))
         record["wallclock_ms"] = (time.perf_counter() - tic) * 1000.0
         records.append(record)
 
@@ -459,6 +412,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                    "prev_selected": list(server.prev_selected),
                    "algo": config.algo, "best_acc": result.best_acc,
                    "final_acc": result.final_acc, "diverged": result.diverged,
+                   "diverged_at": diverged_at,
                    "total_down": meter.total_down, "total_up": meter.total_up}
         with open(run_dir / "checkpoint.meta.json", "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -536,7 +490,8 @@ def _write_sweep_summary(config: ExperimentConfig, results_by_algo) -> None:
 
 def scan_results(root) -> dict[str, list[RunResult]]:
     """Rebuild RunResults from run directories under `root` (for the
-    summarize/nemenyi subcommands)."""
+    summarize/nemenyi subcommands): the series from `rounds.jsonl`, the
+    round and client a run diverged at from `checkpoint.meta.json`."""
     root = Path(root)
     out: dict[str, list[RunResult]] = {}
     for cfg_path in sorted(root.glob("*/config.json")):
@@ -547,9 +502,12 @@ def scan_results(root) -> dict[str, list[RunResult]]:
         with open(run_dir / "rounds.jsonl") as fh:
             for line in fh:
                 series.append(json.loads(line)["test_acc"])
+        with open(run_dir / "checkpoint.meta.json") as fh:
+            # a sidecar written before the key existed reads as not diverged
+            diverged_at = json.load(fh).get("diverged_at")
         result = RunResult(
             algo=echo["algo"], scenario_seed=echo["scenario_seed"],
             training_seed=echo["training_seed"], accuracy_series=series,
-            run_dir=str(run_dir))
+            run_dir=str(run_dir), diverged_at=tuple(diverged_at) if diverged_at else None)
         out.setdefault(echo["algo"], []).append(result)
     return out

@@ -14,7 +14,6 @@ import pytest
 
 from fedsim import algorithms as alg
 from fedsim import data as dat
-from fedsim import eval as ev
 from fedsim import nn
 from fedsim import protocol as proto
 from fedsim import runner
@@ -68,62 +67,6 @@ class TestKeptInferenceInputs:
             logits = nn.forward(nn.unflatten_like(template, theta), ds.features).logits
             assert runner.accuracy(template, theta, ds) == np.mean(
                 logits.argmax(axis=1) == ds.labels)
-
-
-def reference_triangle(template, server, selected, theta_start, deltas, uploads, train,
-                       partition, probe):
-    """The monitor with a fresh `nn.forward` and `class_means` per forward,
-    and stage 2's term recomputed from the uploads."""
-    def means(model, ds_x, labels):
-        return class_means(nn.forward(model, ds_x).embeddings, labels, train.num_classes)
-    g_means, g_counts = means(nn.unflatten_like(template, server.global_params),
-                              probe.features, probe.labels)
-    ones = np.ones(train.num_classes, dtype=np.int64)
-    lhs = ev.class_mean_distance(g_means, g_counts, server.global_prototypes, ones)
-    eps1, eps2, kappas = [], [], []
-    for k in selected:
-        local = nn.unflatten_like(template, theta_start + deltas[k])
-        shard = partition.shards[k]
-        l_means, l_counts = means(local, train.features[shard], train.labels[shard])
-        eps1.append(ev.class_mean_distance(l_means, l_counts, uploads[k], ones))
-        eps2.append(ev.class_mean_distance(uploads[k], ones, server.global_prototypes, ones))
-        k_means, k_counts = means(local, probe.features, probe.labels)
-        kappas.append(ev.class_mean_distance(k_means, k_counts, g_means, g_counts))
-    rhs = max(eps1) + max(eps2) + max(kappas)
-    return {"triangle_lhs": lhs, "triangle_rhs": rhs, "triangle_kappa": max(kappas),
-            "triangle_holds": bool(lhs <= rhs)}
-
-
-def test_monitor_fields_match_reference():
-    train, _ = blobs_and_surrogate(seed=5)
-    probe = train.subset(np.arange(0, len(train), 4))
-    partition = dat.dirichlet_partition(train.labels, 5, 0.5, seed=6)
-    template = nn.init_mlp(5, (8, 6), 4, np.random.default_rng(7))
-    rng = np.random.default_rng(8)
-    theta_start = template.theta.copy()
-    for rnd, selected in enumerate([[0, 2, 3], [1, 4], [0, 1, 2, 3, 4]]):
-        server = proto.ServerState(global_params=theta_start + 0.1 * rng.standard_normal(
-            template.num_params), global_prototypes=rng.standard_normal((4, 6)))
-        deltas = {k: 0.2 * rng.standard_normal(template.num_params) for k in selected}
-        uploads = {k: rng.standard_normal((4, 6)) for k in selected}
-        divergences = [ev.prototype_divergence(uploads[k], server.global_prototypes)
-                       for k in selected]
-        got = runner._triangle_fields(template, server, selected, theta_start, deltas, uploads,
-                                      divergences, train, partition, probe)
-        want = reference_triangle(template, server, selected, theta_start, deltas, uploads,
-                                  train, partition, probe)
-        assert got.keys() == want.keys()
-        for key in want:
-            assert np.array_equal(got[key], want[key]), (rnd, key)
-
-
-def test_stage2_term_is_the_prototype_divergence():
-    # the monitor takes stage 2 from the `divergence` field's per-client values
-    rng = np.random.default_rng(13)
-    for classes, dim in [(1, 1), (2, 3), (10, 32), (4, 6)] * 50:
-        a, b = rng.standard_normal((2, classes, dim)) * rng.uniform(1e-3, 1e3)
-        ones = np.ones(classes, dtype=np.int64)
-        assert ev.prototype_divergence(a, b) == ev.class_mean_distance(a, ones, b, ones)
 
 
 class TestRoundShift:
@@ -332,7 +275,7 @@ def count_run_constants(config):
 
 def test_inputs_and_kernels_made_once_per_run(tmp_path):
     """Counts, unlike times, do not drift with the machine: a fedgps run
-    with the monitor on every round makes as many class indicators and
+    logging its divergence every round makes as many class indicators and
     kernels in 6 rounds as in 2: one shared and one inference kernel."""
     config = runner.ExperimentConfig(
         num_classes=4, input_dim=6, n_per_class=40, separation=2.0, noise_std=0.8,
@@ -342,5 +285,5 @@ def test_inputs_and_kernels_made_once_per_run(tmp_path):
     short = count_run_constants(dataclasses.replace(config, rounds=2))
     long = count_run_constants(dataclasses.replace(config, rounds=6))
     assert short == long
-    # surrogate and probe indicators
-    assert long == {"kernel": 2, "indicator": 2}
+    # the surrogate's indicator, the only one a run keeps
+    assert long == {"kernel": 2, "indicator": 1}

@@ -227,6 +227,7 @@ class TestRunArtifacts:
             again = by_seed[r.scenario_seed]
             assert again.accuracy_series == r.accuracy_series
             assert (again.best_acc, again.final_acc) == (r.best_acc, r.final_acc)
+            assert again.diverged_at is None
 
     def test_accuracies_derived_from_series(self):
         def result(series):
@@ -255,7 +256,7 @@ class TestRunArtifacts:
     @pytest.mark.parametrize("algo", ["fedgps", "fedgps_cf"])
     @pytest.mark.parametrize("eta_l", [1e5, 1e50, 1e300])
     def test_diverging_monitored_run_writes_strict_json(self, tmp_path, algo, eta_l):
-        # the last record's monitor fields come from non-finite parameters
+        # the last record's divergence comes from non-finite prototypes
         cfg = runner.ExperimentConfig(
             num_classes=3, input_dim=3, n_per_class=20, num_clients=4, hidden=(8, 4),
             divergence_cadence=1, rounds=5, eta_l=eta_l, algo=algo, out_dir=str(tmp_path))
@@ -264,8 +265,30 @@ class TestRunArtifacts:
         records = [strict_json(line) for line in lines]
         assert result.diverged
         last = records[-1]
-        assert last["divergence"] is None and last["triangle_holds"] is None
-        assert None in (last["triangle_lhs"], last["triangle_rhs"])
+        assert last["divergence"] is None
+
+    @pytest.mark.parametrize("algo", runner.ALGORITHMS)
+    def test_every_record_has_the_same_fields(self, tmp_path, algo):
+        cfg = small_config(tmp_path, algo=algo, divergence_cadence=1)
+        result = runner.run_one(cfg, 0, 0)
+        lines = (Path(result.run_dir) / "rounds.jsonl").read_text().splitlines()
+        assert len(lines) == cfg.rounds
+        for line in lines:
+            assert json.loads(line).keys() == {"round", "selected", "test_acc", "comm_down",
+                                               "comm_up", "divergence", "wallclock_ms"}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scan_reads_back_where_a_run_diverged(self, tmp_path):
+        cfg = runner.ExperimentConfig(
+            algo="fedavg", num_classes=3, input_dim=4, n_per_class=20, hidden=(8, 4),
+            rounds=3, num_clients=4, sample_rate=0.5, alpha=0.5, batch_size=16, eta_l=1e154,
+            surrogate_n_per_class=8, out_dir=str(tmp_path))
+        result = runner.run_one(cfg, 0, 0)
+        assert result.diverged_at == (1, 2)
+        [scanned] = runner.scan_results(tmp_path)["fedavg"]
+        assert scanned.diverged_at == result.diverged_at and scanned.diverged
+        meta = json.loads((Path(result.run_dir) / "checkpoint.meta.json").read_text())
+        assert meta["diverged"] and meta["diverged_at"] == [1, 2]
 
 
 def strict_json(line):
@@ -392,26 +415,13 @@ class TestCli:
     def test_diag_quadratic_oracle(self, capsys):
         assert cli.main(["diag", "quadratic-oracle"]) == 0
         assert "identity err" in capsys.readouterr().out
-
-    def test_diag_triangle(self, capsys):
-        # 10 fedgps rounds monitored every 2nd: one line per monitored round
-        assert cli.main(["diag", "triangle"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "[PASS] triangle"
-        assert lines[1].startswith("  5 checks, ")
-        rounds = [int(line.split()[1]) for line in lines[2:]]
-        assert rounds == [1, 3, 5, 7, 9]
-        assert all("lhs=" in line and "rhs=" in line for line in lines[2:])
-
-    def test_diag_triangle_reads_null_sides_as_non_finite(self, capsys, monkeypatch):
-        # round 0 trains to non-finite parameters and is monitored
-        run_one = runner.run_one
-        monkeypatch.setattr(runner, "run_one", lambda config, *seeds: run_one(
-            dataclasses.replace(config, eta_l=1e50, divergence_cadence=1), *seeds))
-        assert cli.main(["diag", "triangle"]) == cli.EXIT_DIAG_FAIL
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "[FAIL] triangle"
-        assert lines[2:] == ["  round    0 [VIOL] lhs=nan rhs=nan kappa=nan"]
+        # the parser offers exactly the suites the table runs
+        assert list(cli.DIAG_SUITES) == ["grad-check", "quadratic-oracle", "comm-audit"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["diag", "triangle"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice" in err and "triangle" in err
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_diag_non_finite_lambda_g_is_usage_error(self, value, capsys):
@@ -520,8 +530,8 @@ class TestCli:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("algo", ["fedgps", "fedgps_cf"])
     def test_rectified_run_diverges_without_warnings(self, tmp_path, algo):
-        # diverges after round 0: the shift, the non-self gradient, the
-        # prototypes and the monitor all meet non-finite values first
+        # diverges after round 0: the shift, the non-self gradient and the
+        # prototypes all meet non-finite values first
         code = cli.main(["run", "--algo", algo, "--eta-l", "1e200", "--rounds", "3",
                          "--num-clients", "2", "--sample-rate", "1.0", "--num-classes", "3",
                          "--input-dim", "4", "--n-per-class", "20", "--hidden", "8 4",
