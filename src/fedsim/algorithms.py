@@ -118,27 +118,17 @@ def hyper_problems(h) -> list[str]:
     return problems
 
 
-@dataclass
-class PrototypeSet:
-    """Per-class mean embeddings with the sample counts behind them."""
-
-    means: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.min(initial=1) < 1:
-            missing = np.flatnonzero(self.counts < 1)[0]
-            raise ValueError(f"missing class {missing}: every class needs a sample")
-
-
-def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> PrototypeSet:
-    """Class-c prototype = mean extractor embedding over surrogate class c,
-    from the surrogate's features and kept indicator on `model`'s inference kernel."""
+def compute_local_prototypes(model: MlpModel, surrogate: LabeledDataset) -> np.ndarray:
+    """The (C, embed_dim) prototype matrix: row c is the mean extractor
+    embedding over surrogate class c, from the surrogate's features and kept
+    indicator on `model`'s inference kernel. Every class needs a sample."""
     kernel = model.inference_kernel(len(surrogate))
     embeddings = kernel.forward(model, surrogate.features, classify=False).embeddings
-    return PrototypeSet(*_means_by_class(embeddings, *surrogate.indicator))
+    means, counts = _means_by_class(embeddings, *surrogate.indicator)
+    if counts.min(initial=1) < 1:
+        raise ValueError(f"missing class {np.flatnonzero(counts < 1)[0]}: "
+                         "every class needs a sample")
+    return means
 
 
 def ce_loss_and_grad(model: MlpModel, batch_x: np.ndarray, batch_y: np.ndarray,
@@ -407,7 +397,7 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
                        theta_global: np.ndarray, shift: np.ndarray | None,
                        dataset: LabeledDataset, surrogate: LabeledDataset,
                        global_prototypes: np.ndarray | None,
-                       hyper: FedGpsHyper) -> tuple[np.ndarray, PrototypeSet]:
+                       hyper: FedGpsHyper) -> tuple[np.ndarray, np.ndarray]:
     """One client's round: rectified steps over the composite objective.
 
     `shift` is the round's rectification shift, `rectification_shift` of
@@ -415,7 +405,8 @@ def fedgps_local_train(client: ClientState, template: MlpModel,
     its gradient at theta + shift, or at theta when `shift` is None. With
     every surrogate term off an epoch's plan has no surrogate rows, so with
     rectification off as well this trajectory is bit-identical to FedAvg's.
-    Returns the delta and fresh local prototypes over the full surrogate set.
+    Returns the delta and the end point's prototype matrix over the full
+    surrogate set, `compute_local_prototypes`, which the client uploads.
     """
     delta, model_end, _ = _local_sgd(client, template, theta_global, dataset, hyper, shift,
                                      surrogate if hyper.uses_surrogate else None,

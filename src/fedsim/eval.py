@@ -146,23 +146,21 @@ class ScenarioResult:
     speedups: dict[str, float | None] = field(default_factory=dict)
 
 
-def build_scenario_result(scenario: str, series_by_algo: dict[str, list],
-                          target: float | None = None,
-                          baseline: str = "fedavg") -> ScenarioResult:
+def build_scenario_result(scenario: str, series_by_algo: dict[str, list]) -> ScenarioResult:
     """Derive ACC / ROUND / SpeedUp from per-round accuracy series.
 
-    The target defaults to the baseline's best accuracy rounded down to
-    an integer percent; speedup is defined only when both the algorithm
-    and the baseline reached the target.
+    The baseline is FedAvg, and the target is its best accuracy rounded
+    down to a whole percent; with no FedAvg series there is no target, so
+    only ACC is filled. Speedup is defined only when both the algorithm and
+    FedAvg reached the target.
     """
     acc = {a: float(np.max(s)) for a, s in series_by_algo.items()}
-    if target is None and baseline in acc:
-        target = np.floor(acc[baseline] * 100.0) / 100.0
+    target = np.floor(acc["fedavg"] * 100.0) / 100.0 if "fedavg" in acc else None
     rounds, speeds = {}, {}
     if target is not None and 0 < target < 1:
         for a, s in series_by_algo.items():
             rounds[a] = round_to_target(s, target)
-        base_round = rounds.get(baseline)
+        base_round = rounds.get("fedavg")
         for a in series_by_algo:
             # speedup compares 1-based round counts, round_to_target
             # yields 0-based indices

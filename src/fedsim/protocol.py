@@ -195,13 +195,9 @@ def upload_prototypes(server: ServerState, client_id: int,
     return prototypes
 
 
-def aggregate_prototypes(server: ServerState, uploads: dict[int, np.ndarray],
-                         mode: str = "mean") -> np.ndarray:
-    """Combine uploaded prototype matrices element-wise in client-id order.
-
-    `mode="mean"` is the default; `"sum"` preserves the unnormalized
-    variant, whose magnitude grows with the number of uploaders.
-    """
+def aggregate_prototypes(server: ServerState, uploads: dict[int, np.ndarray]) -> np.ndarray:
+    """The round's global prototypes: the mean of the uploaded matrices,
+    summed in ascending client id, which the server keeps and broadcasts."""
     if not uploads:
         raise ProtocolError("no prototype uploads")
     order = sorted(uploads)
@@ -210,13 +206,8 @@ def aggregate_prototypes(server: ServerState, uploads: dict[int, np.ndarray],
         if uploads[k].shape != shape:
             raise ProtocolError(f"prototype upload from client {k} has shape "
                                 f"{uploads[k].shape}, expected {shape}")
-    total = ordered_sum(uploads)
-    if mode == "mean":
-        total /= len(order)
-    elif mode != "sum":
-        raise ProtocolError(f"unknown prototype aggregation mode: {mode!r}")
-    server.global_prototypes = total
-    return total
+    server.global_prototypes = ordered_sum(uploads) / len(uploads)
+    return server.global_prototypes
 
 
 def meter_round(meter: CommMeter, algo: str, num_params: int, num_classes: int,

@@ -84,7 +84,6 @@ class ExperimentConfig(alg.FedGpsHyper):
     algo: str = "fedgps"
     eta_g: float = 1.0
     fedavgm_beta: float = 0.9
-    prototype_agg: str = "mean"
     # surrogate
     surrogate_n_per_class: int = 64
     surrogate_mean_scale: float = 3.0
@@ -146,8 +145,6 @@ class ExperimentConfig(alg.FedGpsHyper):
             problems.append(f"algo must be one of {ALGORITHMS}, got {self.algo!r}")
         elif rule.rectified and round(self.sample_rate * self.num_clients) < 2:
             problems.append("path rectification needs at least 2 sampled clients per round")
-        if self.prototype_agg not in ("mean", "sum"):
-            problems.append("prototype_agg must be mean or sum")
         problems += dat.surrogate_problems(self.surrogate_n_per_class, self.surrogate_std,
                                            names=("surrogate_n_per_class", "surrogate_std"))
         if not self.hidden or min(self.hidden) < 1:
@@ -352,7 +349,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
                     deltas[k], protos = alg.fedgps_local_train(
                         client, template, server.global_params, shift, train, surrogate,
                         server.global_prototypes, hyper)
-                    uploads[k] = proto.upload_prototypes(server, k, protos.means)
+                    uploads[k] = proto.upload_prototypes(server, k, protos)
                 elif config.algo == "fedprox":
                     deltas[k] = alg.fedprox_local_train(client, template, server.global_params,
                                                         train, hyper)
@@ -373,7 +370,7 @@ def run_one(config: ExperimentConfig, scenario_seed: int, training_seed: int,
         if control_changes:  # scaffold: c <- c + (sum of the clients' changes) / K
             server.control += proto.ordered_sum(control_changes) / config.num_clients
         if uploads:
-            proto.aggregate_prototypes(server, uploads, mode=config.prototype_agg)
+            proto.aggregate_prototypes(server, uploads)
 
         down, up = proto.meter_round(meter, config.algo, template.num_params,
                                      train.num_classes, template.embed_dim)

@@ -104,7 +104,8 @@ def test_ordered_sum_adds_in_ascending_client_id():
     assert total.tolist() == [1.0]
     arrays = {k: np.array(v) for k, v in values.items()}
     assert proto.mean_delta(arrays).tolist() == [0.0]
-    assert proto.aggregate_prototypes(make_server(1), arrays, mode="sum").tolist() == [0.0]
+    assert proto.aggregate_prototypes(make_server(1), arrays).tolist() == [0.0]
+    assert (total / len(values)).tolist() == [1.0 / 3.0]  # the insertion-order mean
 
 
 class TestNonSelfGradient:
@@ -227,12 +228,6 @@ class TestPrototypeAggregation:
         p = np.random.default_rng(9).standard_normal((3, 2))
         out = proto.aggregate_prototypes(server, {0: p, 1: p.copy(), 2: p.copy()})
         assert np.allclose(out, p, atol=1e-15)
-
-    def test_sum_mode_scales_with_uploaders(self):
-        server = make_server()
-        p = np.ones((2, 2))
-        out = proto.aggregate_prototypes(server, {0: p, 1: p.copy()}, mode="sum")
-        assert np.array_equal(out, 2 * p)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(proto.ProtocolError):
