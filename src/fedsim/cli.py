@@ -99,15 +99,13 @@ def _cmd_nemenyi(args) -> int:
     if ranks.num_algorithms < 2 or ranks.num_scenarios < 2:
         print("need at least 2 algorithms and 2 scenarios that all of them ran", file=sys.stderr)
         return EXIT_CONFIG
-    chi2, significant = ev.friedman_statistic(ranks, args.alpha)
-    _, avg, cd = ev.nemenyi_pairwise(ranks, args.alpha)
+    out = Path(args.out or Path(args.root) / "nemenyi.csv")
+    chi2, significant, avg, cd = ev.write_nemenyi_csv(out, ranks, args.alpha)
     print(f"friedman chi2={chi2:.6f} significant={significant} "
           f"(alpha={args.alpha}, N={ranks.num_scenarios}, k={ranks.num_algorithms})")
     print(f"critical distance={cd:.6f}")
     for name, rank in zip(ranks.algorithms, avg):
         print(f"  {name:<10} avg rank {rank:.3f}")
-    out = Path(args.out or Path(args.root) / "nemenyi.csv")
-    ev.write_nemenyi_csv(out, ranks, args.alpha)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -226,8 +226,10 @@ def rank_matrix(results: list[ScenarioResult]) -> tuple[RankMatrix, list[str]]:
     return RankMatrix(acc, algos), [r.scenario for r in results if len(r.acc) < len(algos)]
 
 
-def write_nemenyi_csv(path, ranks: RankMatrix, alpha: float = 0.05) -> None:
-    """Pairwise significance matrix with average ranks and the CD."""
+def write_nemenyi_csv(path, ranks: RankMatrix, alpha: float = 0.05) -> tuple:
+    """Pairwise significance matrix with average ranks and the CD. Returns
+    the statistics it wrote: (friedman chi2, its significance, the average
+    ranks, the critical distance)."""
     significant, avg, cd = nemenyi_pairwise(ranks, alpha)
     chi2, sig = friedman_statistic(ranks, alpha)
     with open(path, "w", newline="") as fh:
@@ -237,3 +239,4 @@ def write_nemenyi_csv(path, ranks: RankMatrix, alpha: float = 0.05) -> None:
         for i, name in enumerate(ranks.algorithms):
             writer.writerow([name, f"{avg[i]:.6f}"] +
                             [str(bool(v)) for v in significant[i]])
+    return chi2, sig, avg, cd

@@ -17,11 +17,12 @@ input block, so the ones column is written nowhere else and no caller's
 rows outlive the pass. `forward` and `backward` make a kernel per batch and
 return fresh arrays.
 
-A run's template model keeps what the run reuses, each made once per run
-at first use: the `shared_kernel` its trainers step on, the forward-only
-`inference_kernel` for prototypes and test accuracy, and `scratch` models
-(the trainee, the rectified point), which share the template's kernels.
-Each use overwrites the last.
+A run's template model keeps what the run reuses, each made at first use:
+one `shared_kernel`, which every pass of the run steps on (the trainers'
+steps, the prototypes, test accuracy) and which grows to the largest, and
+`scratch` models (the trainee, the rectified point), which share it. One
+kernel serves because no forward runs between a step's forward and its
+backward. Each use overwrites the last.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ class MlpModel:
         if self.theta.shape != (size,):
             raise ShapeError(f"expected flat vector of length {size}, got {self.theta.shape}")
         self.blocks = _blocks(self.theta, self.widths)
-        self._kernels, self._kept = {}, {}  # see `kept`; scratch models share the kernels
+        self._kernels, self._kept = [], {}  # see `kept`; scratch models share the kernel
 
     @property
     def input_dim(self) -> int:
@@ -74,20 +75,14 @@ class MlpModel:
         return self.theta.size
 
     def shared_kernel(self, rows: int) -> Kernel:
-        """A kernel for any model of this shape with room for `rows`, kept on
-        this model and remade only to grow; each use overwrites the last."""
-        return self._kernel("train", rows)
-
-    def inference_kernel(self, rows: int) -> Kernel:
-        """Like `shared_kernel`, a second kernel for forwards that take no
-        `backward`, so inference never evicts a trainer's rows or buffers."""
-        return self._kernel("infer", rows)
-
-    def _kernel(self, key: str, rows: int) -> Kernel:
-        kernel = self._kernels.get(key)
-        if kernel is None or kernel.capacity < rows:
-            kernel = self._kernels[key] = Kernel(self.widths, rows)
-        return kernel
+        """The kernel for any model of this shape with room for `rows`, kept
+        on this model and remade only to grow, after the old one is dropped
+        so that its buffers are freed first; each use overwrites the last."""
+        kernels = self._kernels
+        if not kernels or kernels[0].capacity < rows:
+            kernels.clear()
+            kernels.append(Kernel(self.widths, rows))
+        return kernels[0]
 
     def kept(self, key: str, make):
         """The object this model keeps under `key`, made by `make()` at the
@@ -100,7 +95,7 @@ class MlpModel:
 
     def scratch(self, key: str) -> MlpModel:
         """A model of this shape over its own vector, kept under `key`; it
-        shares this model's kernels, and each user overwrites it."""
+        shares this model's kernel, and each user overwrites it."""
         def make():
             model = MlpModel(self.widths, np.empty(self.num_params))
             model._kernels = self._kernels
@@ -126,9 +121,9 @@ class Kernel:
     first, `inputs` views them there, and a hidden layer writes its product
     into the next buffer and rectifies that whole, contiguous buffer in
     place. `backward` fills dh, the masks (each activation's sign) and one
-    gradient vector, made at its first call. n rows use each buffer's first
-    n: the same strides and bits as a kernel of n rows. The views of each
-    row count are made once and kept; no caller's array is.
+    gradient vector, all made with the kernel. n rows use each buffer's
+    first n: the same strides and bits as a kernel of n rows. The views of
+    each row count are made once and kept; no caller's array is.
     """
 
     def __init__(self, widths, capacity: int):
@@ -137,21 +132,25 @@ class Kernel:
         for a in self._aug:
             a[:, -1] = 1.0
         self._logits = np.empty((capacity, self.widths[-1]))
-        self.grad = None
+        self._dh = [np.empty((capacity, w)) for w in self.widths[1:-1]]
+        self._sign = [np.empty_like(a) for a in self._aug[1:]]
+        # one [h, 1]^T @ dz block per layer, laid out as theta's
+        self.grad = np.empty(sum(a.shape[1] * w for a, w in zip(self._aug, self.widths[1:])))
+        self._g = _blocks(self.grad, self.widths)
         self._views = {}
 
     def _rows(self, n: int) -> None:
+        """Point the pass at each buffer's first n rows. A run switches row
+        counts at every short last batch and between its steps, prototypes
+        and test accuracy; a kept count's views take under 0.5 us to select
+        against about 3.5 us to slice afresh."""
         if n not in self._views:
-            aug = [a[:n] for a in self._aug]  # each layer's input [h, 1]
-            views = (aug, [a[:, :-1] for a in aug], self._logits[:n])  # h, logits
-            if self.grad is not None:
-                sign = [s[:n] for s in self._sign]
-                views += ([d[:n] for d in self._dh], sign, [s[:, :-1] for s in sign])
-            self._views[n] = views
-        self._a, (self.inputs, *self.acts), self.logits, *grad = self._views[n]
+            aug, sign = [a[:n] for a in self._aug], [s[:n] for s in self._sign]
+            self._views[n] = (aug, [a[:, :-1] for a in aug], self._logits[:n],  # h, logits
+                              [d[:n] for d in self._dh], sign, [s[:, :-1] for s in sign])
+        self._a, (self.inputs, *self.acts), self.logits, self._d, self._s, self._m = \
+            self._views[n]
         self.n = n
-        if grad:
-            self._d, self._s, self._m = grad
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -178,13 +177,6 @@ class Kernel:
     def backward(self, model: MlpModel, dlogits: np.ndarray,
                  dembed: np.ndarray | None = None) -> np.ndarray:
         """The flat gradient of the last `forward`, in the kernel's own vector."""
-        if self.grad is None:
-            self._dh = [np.empty((self.capacity, w)) for w in self.widths[1:-1]]
-            self._sign = [np.empty_like(a) for a in self._aug[1:]]
-            self.grad = np.empty(model.num_params)
-            self._g = _blocks(self.grad, self.widths)
-            self._views.clear()
-            self._rows(self.n)
         a, top, dz = self._a, len(self.acts), dlogits
         for i in range(top, -1, -1):
             np.matmul(a[i].T, dz, out=self._g[i])

@@ -63,6 +63,18 @@ def test_higher_is_better_and_all_ties():
     assert (s["wins"], s["losses"], s["ties"]) == (1, 1, 2)
 
 
+def test_bootstrap_interval_of_the_median_ratio():
+    # identical ratios leave nothing to resample: a zero-width interval
+    s = ab.compare(pairs_of([0.2] * 6, [0.1] * 6), SETUP, seed=3)
+    assert s["median_ratio"] == 0.5 and s["ratio_interval"] == (0.5, 0.5)
+    ratios = [0.9, 1.1, 0.95, 1.02, 0.98, 1.3, 0.99, 1.01]
+    low, high = ab.bootstrap_interval(ratios, seed=7)
+    assert min(ratios) <= low <= 1.0 <= high <= max(ratios) and low < high
+    assert ab.bootstrap_interval(ratios, seed=7) == (low, high)  # the seed fixes it
+    assert ab.bootstrap_interval([], seed=7) is None
+    assert "ratio 0.500 [0.500, 0.500]" in ab.summary_line(s)
+
+
 def test_within_bound_is_relative_to_the_base_median():
     assert ab.compare(pairs_of([1.0] * 3, [1.24] * 3), SETUP)["within_bound"]
     assert not ab.compare(pairs_of([1.0] * 3, [1.26] * 3), SETUP)["within_bound"]
@@ -108,6 +120,7 @@ def test_main_alternates_order_and_writes_the_record(trees, monkeypatch, tmp_pat
     assert record["desk_checkpoints"] == {"base": {"fedavg": "base"},
                                           "change": {"fedavg": "change"}}
     assert record["workloads"]["w"]["metrics"]["setup_s"]["wins"] == 3
+    assert record["workloads"]["w"]["metrics"]["setup_s"]["ratio_interval"] == [0.5, 0.5]
     assert record["failures"] == []
 
 

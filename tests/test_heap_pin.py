@@ -62,8 +62,8 @@ def run_fresh(script):
 
 def test_prototype_forward_reuses_heap_pages():
     """The prototype and test-accuracy forwards run on the template's kept
-    inference kernel, which allocates no array of their size per call, so a
-    warm forward faults in no fresh pages."""
+    kernel, which allocates no array of their size per call, so a warm
+    forward faults in no fresh pages."""
     assert run_fresh(FAULTS_SCRIPT) < 10
 
 

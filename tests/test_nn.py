@@ -1,5 +1,7 @@
 """Forward/backward correctness against independent oracles, the flat
 parameter buffer (bijection and aliasing), and the checkpoint format."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,6 +270,23 @@ class TestKernelReuse:
         kernel = nn.Kernel(model.widths, 8).forward(model, x)
         assert np.array_equal(kernel.inputs, x) and not np.shares_memory(kernel.inputs, x)
 
+    @pytest.mark.parametrize("hidden", [(), (6,), (64, 32)])
+    def test_new_kernel_has_its_gradient_before_backward(self, hidden):
+        """A kernel makes its backward buffers when it is built; its first
+        pass gives the bits of the fresh-kernel reference."""
+        model = nn.init_mlp(16, hidden, 10, np.random.default_rng(41))
+        rng = np.random.default_rng(42)
+        x, dlogits = rng.standard_normal((5, 16)), rng.standard_normal((5, 10))
+        dembed = rng.standard_normal((5, model.embed_dim))
+        kernel = nn.Kernel(model.widths, 8)
+        grad = kernel.grad
+        assert grad.shape == (model.num_params,)
+        kernel.forward(model, x)
+        trace = nn.forward(model, x)
+        assert kernel.logits.tobytes() == trace.logits.tobytes()
+        assert kernel.backward(model, dlogits, dembed) is grad
+        assert grad.tobytes() == nn.backward(model, trace, dlogits, dembed).tobytes()
+
     def test_shared_kernel_grows_and_is_reused(self):
         model = tiny_model(seed=40)
         small = model.shared_kernel(5)
@@ -276,6 +295,23 @@ class TestKernelReuse:
         assert grown is not small and grown.capacity == 6
         assert model.shared_kernel(2) is grown
         assert tiny_model(seed=40).shared_kernel(2) is not grown
+        # the template and its scratch models hold one kernel between them
+        assert model.scratch("trainee").shared_kernel(7) is model.shared_kernel(1)
+
+    def test_shared_kernel_frees_the_old_buffers_before_it_grows(self):
+        model = nn.init_mlp(16, (64, 32), 10, np.random.default_rng(43))
+        tracemalloc.start()
+        try:
+            model.shared_kernel(500)
+            old, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            model.shared_kernel(1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the new kernel holds twice the old one's rows: both at once would
+        # peak at about three times the old kernel's bytes
+        assert peak < 2.5 * old
 
 
 class TestFlatBuffer:

@@ -212,6 +212,10 @@ BAD_VALUES = [
     ("surrogate_n_per_class", 0, "surrogate_n_per_class must be >= 1"),
     ("workers", 0, "workers must be >= 1"),
     ("data_seed", -1, "data_seed must be >= 0"),
+    ("eta_g", 0.0, "eta_g must be > 0"),
+    ("eta_g", -1.0, "eta_g must be > 0"),
+    ("scenario_seeds", "0,0", "scenario_seeds must not repeat a seed"),
+    ("training_seeds", "1 1", "training_seeds must not repeat a seed"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""What a run lays out once: the kept class indicators and inference
+"""What a run lays out once: the kept class indicators and the one
 kernel, the round's rectification shifts, the client scratch models and
 the epoch-plan layouts. Each fast path against the simple reference path it
 replaced, bit for bit, plus counts that pin the work to once per run."""
@@ -40,11 +40,12 @@ class TestKeptInferenceInputs:
     def test_prototypes_match_class_means_of_embed(self, hidden):
         train, surrogate = blobs_and_surrogate()
         model = nn.init_mlp(5, hidden, 4, np.random.default_rng(1))
-        model.inference_kernel(len(train))  # room for more rows than the surrogate
+        kernel = model.shared_kernel(len(train))  # room for more rows than the surrogate
         for step in range(3):
             model.theta += 0.3 * np.random.default_rng(step).standard_normal(model.num_params)
-            if step == 1:  # another row count on the same kernel in between
-                model.inference_kernel(1).forward(model, train.features[:7])
+            if step == 1:  # a training step's row count on the same kernel in between
+                kernel.forward(model, train.features[:7])
+                kernel.backward(model, np.ones((7, 4)))
             got = alg.compute_local_prototypes(model, surrogate)
             means, _ = class_means(nn.forward(model, surrogate.features).embeddings,
                                    surrogate.labels, surrogate.num_classes)
@@ -61,7 +62,7 @@ class TestKeptInferenceInputs:
         train, _ = blobs_and_surrogate(seed=3)
         test = train.subset(np.arange(0, len(train), 3))
         template = nn.init_mlp(5, (8, 4), 4, np.random.default_rng(4))
-        template.inference_kernel(len(train))
+        template.shared_kernel(len(train))
         for seed, ds in enumerate([test, train, test]):
             theta = 2.0 * np.random.default_rng(seed).standard_normal(template.num_params)
             logits = nn.forward(nn.unflatten_like(template, theta), ds.features).logits
@@ -273,17 +274,40 @@ def count_run_constants(config):
     return counts
 
 
+SMALL_FEDGPS = runner.ExperimentConfig(
+    num_classes=4, input_dim=6, n_per_class=40, separation=2.0, noise_std=0.8,
+    num_clients=5, sample_rate=0.6, alpha=0.5, hidden=(12, 6), surrogate_n_per_class=8,
+    batch_size=8, lambda_g=0.2, divergence_cadence=1, algo="fedgps")
+
+
 def test_inputs_and_kernels_made_once_per_run(tmp_path):
     """Counts, unlike times, do not drift with the machine: a fedgps run
     logging its divergence every round makes as many class indicators and
-    kernels in 6 rounds as in 2: one shared and one inference kernel."""
-    config = runner.ExperimentConfig(
-        num_classes=4, input_dim=6, n_per_class=40, separation=2.0, noise_std=0.8,
-        num_clients=5, sample_rate=0.6, alpha=0.5, hidden=(12, 6), surrogate_n_per_class=8,
-        batch_size=8, lambda_g=0.2, divergence_cadence=1, algo="fedgps",
-        out_dir=str(tmp_path))
+    kernels in 6 rounds as in 2. The kernel is made at the trainers' rows
+    and grown once, to the surrogate's."""
+    config = dataclasses.replace(SMALL_FEDGPS, out_dir=str(tmp_path))
     short = count_run_constants(dataclasses.replace(config, rounds=2))
     long = count_run_constants(dataclasses.replace(config, rounds=6))
     assert short == long
     # the surrogate's indicator, the only one a run keeps
     assert long == {"kernel": 2, "indicator": 1}
+
+
+def test_a_run_keeps_one_kernel(tmp_path):
+    """Every pass of a run shares the template's kernel: when the run writes
+    its checkpoint, at most one of the kernels it built is alive."""
+    made, init, alive = [], nn.Kernel.__init__, []
+
+    def recording(kernel, *args):
+        made.append(weakref.ref(kernel))
+        init(kernel, *args)
+
+    def checkpoint(*args):
+        alive.append(sum(ref() is not None for ref in made))
+        return save(*args)
+
+    save = nn.save_checkpoint
+    with mock.patch.object(nn.Kernel, "__init__", recording), \
+            mock.patch.object(nn, "save_checkpoint", checkpoint):
+        runner.run_one(dataclasses.replace(SMALL_FEDGPS, rounds=3, out_dir=str(tmp_path)), 0, 0)
+    assert len(made) >= 2 and alive == [1]

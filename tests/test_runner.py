@@ -95,9 +95,13 @@ class TestConfigValidation:
 
     def test_load_config_rejects_every_knob_at_once(self):
         with pytest.raises(runner.ConfigError) as err:
-            runner.load_config(None, {"prox_mu": "-1", "momentum": "1.5", "fedavgm_beta": "2"})
+            runner.load_config(None, {"prox_mu": "-1", "momentum": "1.5", "fedavgm_beta": "2",
+                                      "eta_g": "0", "scenario_seeds": "0,0",
+                                      "training_seeds": "1 1"})
         for message in ("prox_mu must be >= 0", "momentum must be in [0, 1)",
-                        "fedavgm_beta must be in [0, 1)"):
+                        "fedavgm_beta must be in [0, 1)", "eta_g must be > 0",
+                        "scenario_seeds must not repeat a seed",
+                        "training_seeds must not repeat a seed"):
             assert message in str(err.value)
 
     def test_training_fields_declared_once(self):
@@ -365,7 +369,9 @@ class TestCli:
         ("--momentum", "1.5", "momentum must be in [0, 1)"),
         ("--momentum", "-0.5", "momentum must be in [0, 1)"),
         ("--fedavgm-beta", "2", "fedavgm_beta must be in [0, 1)"),
-        ("--fedavgm-beta", "1", "fedavgm_beta must be in [0, 1)")])
+        ("--fedavgm-beta", "1", "fedavgm_beta must be in [0, 1)"),
+        ("--eta-g", "0", "eta_g must be > 0"),
+        ("--scenario-seeds", "0,0", "scenario_seeds must not repeat a seed")])
     def test_training_knob_out_of_range_is_config_error(self, tmp_path, capsys, flag, raw,
                                                         message):
         code = cli.main(["run", f"{flag}={raw}", "--out-dir", str(tmp_path / "o")])

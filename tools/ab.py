@@ -11,7 +11,10 @@ Every pass is a fresh process, so `setup_s` and `peak_rss_mb`, which
 exist only per process, are compared too.
 
 Per metric it prints each side's median and quartiles, the median of the
-per-pair ratios change/base, and the pairs the change wins and loses by
+per-pair ratios change/base with its 95% percentile bootstrap interval
+(Kalibera & Jones, ISMM 2013: the pairs resampled with replacement, 2000
+times, from `random.Random` seeded with `--seed`), and the pairs the
+change wins and loses by
 `BENCHMARK.json`'s `better` direction (ties count for neither). `gain`
 holds where the change wins at least nine tenths of the pairs and the
 medians differ, its way, by more than the base's interquartile range;
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -65,7 +69,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
-def compare(pairs: list[dict], metric: dict) -> dict:
+RESAMPLES = 2000
+
+
+def bootstrap_interval(ratios: list[float], seed: int) -> tuple[float, float] | None:
+    """95% percentile bootstrap interval of the median of `ratios`: the
+    medians of RESAMPLES draws of len(ratios) pairs with replacement, from
+    `random.Random(seed)`, cut at 2.5% in each tail."""
+    if not ratios:
+        return None
+    rng = random.Random(seed)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(RESAMPLES))
+    tail = RESAMPLES // 40
+    return medians[tail], medians[-1 - tail]
+
+
+def compare(pairs: list[dict], metric: dict, seed: int = 0) -> dict:
     """The paired statistics of one `BENCHMARK.json` end-to-end metric."""
     name, lower = metric["name"], metric["better"] == "lower"
     base = [p["base"]["metrics"][name] for p in pairs]
@@ -81,6 +101,7 @@ def compare(pairs: list[dict], metric: dict) -> dict:
         "base": {"q1": bq1, "median": bmed, "q3": bq3},
         "change": {"q1": cq1, "median": cmed, "q3": cq3},
         "median_ratio": statistics.median(ratios) if ratios else None,
+        "ratio_interval": bootstrap_interval(ratios, seed),
         "wins": wins, "losses": losses, "ties": len(pairs) - wins - losses,
         "gain": wins >= 0.9 * len(pairs) and median_gain > bq3 - bq1,
         "within_bound": (-median_gain <= metric["bound"] * abs(bmed)) if bmed
@@ -89,10 +110,11 @@ def compare(pairs: list[dict], metric: dict) -> dict:
 
 
 def summary_line(s: dict) -> str:
-    b, c, ratio = s["base"], s["change"], s["median_ratio"]
+    b, c, ratio, interval = s["base"], s["change"], s["median_ratio"], s["ratio_interval"]
     return (f"base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]  "
             f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
-            f"ratio {'-' if ratio is None else f'{ratio:.3f}'}  "
+            f"ratio {'-' if ratio is None else f'{ratio:.3f}'}"
+            f"{'' if interval is None else ' [{:.3f}, {:.3f}]'.format(*interval)}  "
             f"wins {s['wins']} losses {s['losses']} ties {s['ties']}  "
             f"gain {s['gain']}  within_bound {s['within_bound']}")
 
@@ -171,7 +193,7 @@ def main(argv=None) -> int:
             pairs.append(pair)
         bad += [f"{workload} {line}" for line in failures(pairs)]
         ok = [p for p in pairs if not failures([p])]
-        stats = {m["name"]: compare(ok, m) for m in spec["end_to_end"]} if ok else {}
+        stats = {m["name"]: compare(ok, m, args.seed) for m in spec["end_to_end"]} if ok else {}
         record["workloads"][workload] = {"metrics": stats, "passes": pairs}
         for name, s in stats.items():
             print(f"{workload:<15} {name:<12} {summary_line(s)}", flush=True)
